@@ -84,6 +84,83 @@ func groupCohorts(hashes []string, spec func(hash string) CellSpec) []cohort {
 	return out
 }
 
+// MaxShardCells bounds the cells one ExecBatch call — one coordinator
+// shard — may carry. The runner's packer never exceeds it (short of a
+// single cohort larger than the limit, which rides alone and whole) and
+// the POST /v1/shards validator rejects anything larger.
+const MaxShardCells = 4096
+
+// packsPerWorker sets how many packs the runner cuts per worker under
+// ExecBatch: enough that the last pack to finish leaves little of the
+// fleet idle, few enough that the per-shard round trip and store commit
+// are paid a handful of times per worker instead of once per cell.
+const packsPerWorker = 8
+
+// maxPackBytes bounds one pack's estimated result payload, half the
+// server's 8 MiB body cap. It only binds on cells that keep their
+// per-replica waste vectors; every other result is well under a KiB.
+const maxPackBytes = 4 << 20
+
+// resultBytes is a generous estimate of one cell's encoded result: a KiB
+// of summary, plus the per-replica vector when the cell keeps one.
+func resultBytes(c CellSpec) int {
+	n := 1 << 10
+	if c.Precision != nil && c.Precision.KeepReplicas {
+		n += 24 * c.Reps
+	}
+	return n
+}
+
+// packCohorts deals cohorts round-robin into about n packs of whole
+// cohorts, so every ExecBatch call amortizes its round trip over many
+// cells and heavy scenarios spread across packs. A pack holds at most
+// MaxShardCells cells and maxPackBytes of estimated results; a cohort
+// that would overflow its pack moves on to the next pack with room, or
+// opens a new one. The result depends only on the input order.
+func packCohorts(cos []cohort, n int, spec func(hash string) CellSpec) []cohort {
+	type pack struct {
+		hashes       []string
+		bytes, cells int
+	}
+	weights := make([]int, len(cos))
+	cells, bytes := 0, 0
+	for i, co := range cos {
+		for _, h := range co.hashes {
+			weights[i] += resultBytes(spec(h))
+		}
+		cells += len(co.hashes)
+		bytes += weights[i]
+	}
+	n = max(n, (cells+MaxShardCells-1)/MaxShardCells, (bytes+maxPackBytes-1)/maxPackBytes)
+	n = max(min(n, len(cos)), 1)
+	packs := make([]pack, n)
+	fits := func(p *pack, i int) bool {
+		return p.cells == 0 ||
+			(p.cells+len(cos[i].hashes) <= MaxShardCells && p.bytes+weights[i] <= maxPackBytes)
+	}
+	for i, co := range cos {
+		p := i % n
+		for tries := 1; !fits(&packs[p], i); tries++ {
+			if tries == len(packs) {
+				packs = append(packs, pack{})
+				p = len(packs) - 1
+				break
+			}
+			p = (p + 1) % len(packs)
+		}
+		packs[p].hashes = append(packs[p].hashes, co.hashes...)
+		packs[p].cells += len(co.hashes)
+		packs[p].bytes += weights[i]
+	}
+	out := make([]cohort, 0, len(packs))
+	for _, p := range packs {
+		if len(p.hashes) > 0 {
+			out = append(out, cohort{hashes: p.hashes})
+		}
+	}
+	return out
+}
+
 // DefaultArenaBudget bounds one cohort's materialized trace arena (bytes).
 // At the paper's heaviest heatmap point (one-week epochs, one-hour MTBF,
 // 1000 repetitions) an arena runs a few MB, so the default leaves two

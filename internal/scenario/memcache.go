@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"sync"
@@ -223,60 +224,27 @@ func (c *CellCache) GetOrExecute(spec CellSpec) (CellResult, CellTier, error) {
 func (c *CellCache) do(spec CellSpec, exec func() (CellResult, error)) (CellResult, CellTier, error) {
 	hash := spec.Hash()
 	c.mu.Lock()
-	if el, ok := c.entries[hash]; ok {
-		c.order.MoveToFront(el)
-		c.stats.MemHits++
-		res := el.Value.(*memEntry).result
-		c.mu.Unlock()
+	res, hit, fc, leader := c.claimLocked(hash)
+	c.mu.Unlock()
+	if hit {
 		return res, TierMem, nil
 	}
-	if fc, ok := c.flight[hash]; ok {
-		c.stats.Coalesced++
-		c.mu.Unlock()
-		<-fc.done
-		if fc.err != nil {
-			return CellResult{}, TierCoalesced, fc.err
-		}
-		return fc.result, TierCoalesced, nil
+	if !leader {
+		return fc.wait()
 	}
-	fc := &flightCall{done: make(chan struct{})}
-	c.flight[hash] = fc
-	c.mu.Unlock()
-
-	// If the executor panics, unblock every coalesced waiter with an
-	// error before re-panicking; a leaked flight entry would otherwise
-	// hang all future requests for this cell forever.
 	settled := false
 	defer func() {
-		if settled {
-			return
+		if !settled {
+			c.abandon(hash, fc)
 		}
-		c.mu.Lock()
-		delete(c.flight, hash)
-		c.mu.Unlock()
-		fc.err = fmt.Errorf("scenario: cell %s: execution panicked", hash)
-		close(fc.done)
 	}()
 
 	// Leader path: store, then execution. No lock is held during I/O or
 	// cell execution.
 	tier := TierDisk
-	var res CellResult
 	var err error
-	hit := false
 	storeFailed := false
-	if c.store != nil {
-		c.mu.Lock()
-		c.stats.DiskReads++
-		c.mu.Unlock()
-		var corrupt bool
-		res, hit, corrupt = loadCell(c.store, spec)
-		if corrupt {
-			c.mu.Lock()
-			c.stats.CorruptEntries++
-			c.mu.Unlock()
-		}
-	}
+	res, hit = c.loadStored(spec)
 	if !hit {
 		tier = TierExec
 		start := time.Now()
@@ -290,6 +258,164 @@ func (c *CellCache) do(spec CellSpec, exec func() (CellResult, error)) (CellResu
 			storeFailed = storeCell(c.store, spec, res, float64(time.Since(start).Microseconds())/1000) != nil
 		}
 	}
+	c.settle(hash, fc, res, err, hit, storeFailed)
+	settled = true
+	if err != nil {
+		return CellResult{}, tier, err
+	}
+	return res, tier, nil
+}
+
+// packOutcome is one cell's result from doPack.
+type packOutcome struct {
+	res  CellResult
+	tier CellTier
+	err  error
+}
+
+// doPack runs a pack of cells whose results one batch execution already
+// produced — results[i] for specs[i], or execErr for all of them —
+// through the cache exactly as do would cell by cell (memory tier,
+// singleflight, store read, counters), except that the executed entries
+// are committed with a single store PutBatch, elapsed being the per-cell
+// share of the batch execution. It returns after that commit, so a caller
+// counting the cells done knows they are stored. A failed commit counts
+// one StoreErrors per entry and the results are still served.
+//
+// Flights this pack leads never wait on another flight: cells already in
+// flight elsewhere are awaited only after the pack settles its own, so
+// two packs sharing cells cannot deadlock.
+func (c *CellCache) doPack(specs []CellSpec, results []CellResult, execErr error, elapsed time.Duration) []packOutcome {
+	out := make([]packOutcome, len(specs))
+	hashes := make([]string, len(specs))
+	for i, spec := range specs {
+		hashes[i] = spec.Hash()
+	}
+	flights := make([]*flightCall, len(specs))
+	leads := make([]bool, len(specs))
+	c.mu.Lock()
+	for i, h := range hashes {
+		var hit bool
+		out[i].res, hit, flights[i], leads[i] = c.claimLocked(h)
+		if hit {
+			out[i].tier = TierMem
+		}
+	}
+	c.mu.Unlock()
+	settled := false
+	defer func() {
+		if settled {
+			return
+		}
+		for i, fc := range flights {
+			if leads[i] {
+				c.abandon(hashes[i], fc)
+			}
+		}
+	}()
+
+	storeFailed := make([]bool, len(specs))
+	elapsedMS := float64(elapsed.Microseconds()) / 1000
+	var items []store.Item
+	var bufs []*bytes.Buffer
+	var batched []int
+	for i, spec := range specs {
+		if !leads[i] {
+			continue
+		}
+		if res, ok := c.loadStored(spec); ok {
+			out[i] = packOutcome{res: res, tier: TierDisk}
+			continue
+		}
+		out[i].tier = TierExec
+		if execErr != nil {
+			out[i].err = execErr
+			continue
+		}
+		out[i].res = results[i]
+		if c.store == nil {
+			continue
+		}
+		buf, err := encodeCellEntry(spec, results[i], elapsedMS)
+		if err != nil {
+			storeFailed[i] = true
+			continue
+		}
+		bufs = append(bufs, buf)
+		items = append(items, store.Item{Key: hashes[i], Value: buf.Bytes()})
+		batched = append(batched, i)
+	}
+	if len(items) > 0 && c.store.PutBatch(items) != nil {
+		for _, i := range batched {
+			storeFailed[i] = true
+		}
+	}
+	for _, buf := range bufs {
+		putEntryBuf(buf)
+	}
+	for i, fc := range flights {
+		if leads[i] {
+			c.settle(hashes[i], fc, out[i].res, out[i].err, out[i].tier == TierDisk, storeFailed[i])
+		}
+	}
+	settled = true
+	for i, fc := range flights {
+		if fc != nil && !leads[i] {
+			out[i].res, out[i].tier, out[i].err = fc.wait()
+		}
+	}
+	return out
+}
+
+// claimLocked resolves hash against the memory tier and the in-flight
+// table: a memory hit returns the result; otherwise fc is the flight to
+// join, or — when leader — a new flight the caller now owns and must
+// settle (or abandon). Callers hold c.mu.
+func (c *CellCache) claimLocked(hash string) (res CellResult, hit bool, fc *flightCall, leader bool) {
+	if el, ok := c.entries[hash]; ok {
+		c.order.MoveToFront(el)
+		c.stats.MemHits++
+		return el.Value.(*memEntry).result, true, nil, false
+	}
+	if fc, ok := c.flight[hash]; ok {
+		c.stats.Coalesced++
+		return CellResult{}, false, fc, false
+	}
+	fc = &flightCall{done: make(chan struct{})}
+	c.flight[hash] = fc
+	return CellResult{}, false, fc, true
+}
+
+// wait blocks until the flight's leader settles and returns its outcome.
+func (fc *flightCall) wait() (CellResult, CellTier, error) {
+	<-fc.done
+	if fc.err != nil {
+		return CellResult{}, TierCoalesced, fc.err
+	}
+	return fc.result, TierCoalesced, nil
+}
+
+// loadStored is a leader's store-tier read, counted in DiskReads (and
+// CorruptEntries when the entry is damaged).
+func (c *CellCache) loadStored(spec CellSpec) (CellResult, bool) {
+	if c.store == nil {
+		return CellResult{}, false
+	}
+	c.mu.Lock()
+	c.stats.DiskReads++
+	c.mu.Unlock()
+	res, hit, corrupt := loadCell(c.store, spec)
+	if corrupt {
+		c.mu.Lock()
+		c.stats.CorruptEntries++
+		c.mu.Unlock()
+	}
+	return res, hit
+}
+
+// settle publishes a leader's outcome: counters, the memory tier on
+// success, and the result or error to every coalesced waiter.
+func (c *CellCache) settle(hash string, fc *flightCall, res CellResult, err error, hit, storeFailed bool) {
 	c.mu.Lock()
 	if err == nil {
 		if hit {
@@ -307,10 +433,16 @@ func (c *CellCache) do(spec CellSpec, exec func() (CellResult, error)) (CellResu
 	delete(c.flight, hash)
 	c.mu.Unlock()
 	fc.result, fc.err = res, err
-	settled = true
 	close(fc.done)
-	if err != nil {
-		return CellResult{}, tier, err
-	}
-	return res, tier, nil
+}
+
+// abandon releases a flight whose leader panicked, unblocking every
+// coalesced waiter with an error: a leaked flight entry would otherwise
+// hang all future requests for this cell forever.
+func (c *CellCache) abandon(hash string, fc *flightCall) {
+	c.mu.Lock()
+	delete(c.flight, hash)
+	c.mu.Unlock()
+	fc.err = fmt.Errorf("scenario: cell %s: execution panicked", hash)
+	close(fc.done)
 }

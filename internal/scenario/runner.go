@@ -96,14 +96,17 @@ type Runner struct {
 	// (0: DefaultArenaBudget). Cohorts whose estimated arena exceeds the
 	// budget fall back to per-cell generation.
 	ArenaBudget int64
-	// ExecBatch, when set, replaces local cell execution: each cohort is
-	// handed to the hook in one call (whole cohorts, so a remote worker
-	// still shares the failure process across its cells) and must come back
-	// as one result per spec, in order. Results still flow through the
-	// cache — dedupe, singleflight, store write-back and Report accounting
-	// are identical to local execution; only the compute moves. The
-	// coordinator sets this to dispatch cohorts to workers over HTTP. The
-	// hook may be called from several workers concurrently.
+	// ExecBatch, when set, replaces local cell execution: the runner packs
+	// the pending trace cohorts into about 8 × Workers packs of at most
+	// MaxShardCells cells each and hands each pack to the hook in one call.
+	// A cohort is never split, so a remote worker still shares the failure
+	// process across its cells. The hook must return one result per spec,
+	// in order. Results still flow through the cache — dedupe,
+	// singleflight, store write-back (one batched commit per pack, made
+	// before the pack's cells count as done) and Report accounting match
+	// local execution; only the compute moves. The coordinator sets this
+	// to dispatch packs to workers over HTTP. The hook may be called from
+	// several workers concurrently.
 	ExecBatch func(specs []CellSpec) ([]CellResult, error)
 	// OnPlan, when set, receives the expanded campaign plan once, before
 	// any cell runs.
@@ -269,9 +272,11 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	// one cohort per worker, through the cache: a concurrent run sharing
 	// the cache may have executed (or be executing) a cell, in which case
 	// the tier reports a hit and the cell counts as cached, not executed.
-	// Completion handling runs under the mutex: mark the cell done,
-	// decrement every subscribed scenario, assemble those that hit zero.
-	batches := groupCohorts(todo, func(h string) CellSpec { return states[h].spec })
+	// Under ExecBatch the unit is a pack of whole cohorts instead (see
+	// packCohorts): about packsPerWorker packs per worker, so each call
+	// and each store commit covers many cells.
+	specOf := func(h string) CellSpec { return states[h].spec }
+	batches := groupCohorts(todo, specOf)
 	if r.DisableCohorts {
 		batches = nil
 		for _, h := range todo {
@@ -286,6 +291,9 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	if totalWorkers <= 0 {
 		totalWorkers = runtime.NumCPU()
 	}
+	if r.ExecBatch != nil && len(batches) > 0 {
+		batches = packCohorts(batches, packsPerWorker*totalWorkers, specOf)
+	}
 	workers := totalWorkers
 	if workers > len(batches) {
 		workers = len(batches)
@@ -297,6 +305,56 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	if len(batches) > 0 {
 		if lent := totalWorkers / len(batches); lent > 1 {
 			simWorkers = lent
+		}
+	}
+	// complete records one cell's outcome; callers hold mu. It marks the
+	// cell done, decrements every subscribed scenario and assembles those
+	// that hit zero.
+	complete := func(h string, res CellResult, tier CellTier, err error, elapsed time.Duration, replayed bool) {
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			return
+		}
+		st := states[h]
+		st.result, st.done = res, true
+		st.cached = tier != TierExec
+		if st.cached {
+			report.CacheHits++
+			elapsed = 0
+		} else {
+			report.Executed++
+			if replayed {
+				report.CohortCells++
+			}
+			if st.spec.Precision != nil && res.Sim != nil {
+				report.AdaptiveCells++
+				report.AdaptiveReplicasUsed += int64(res.Sim.Runs)
+				report.AdaptiveReplicasCap += int64(res.Sim.RepsCap)
+			}
+		}
+		completed++
+		// Callbacks run under the lock: they are never invoked
+		// concurrently, at the price of serializing progress reporting
+		// (cell execution itself stays parallel).
+		emit(CellEvent{Hash: h, Index: completed, Total: len(order), Cached: st.cached, Elapsed: elapsed})
+		// A scenario may reference the same cell more than once;
+		// subscribers holds one entry per reference, so every reference
+		// is decremented exactly once.
+		for _, run := range subscribers[h] {
+			if firstErr != nil {
+				break
+			}
+			run.pending--
+			done := run.pending == 0 && artifacts[run.slot] == nil
+			if done {
+				if err := finishSpec(run); err != nil && firstErr == nil {
+					firstErr = err
+					break
+				}
+			}
+			emitScenario(run, done)
 		}
 	}
 	if len(batches) > 0 {
@@ -317,24 +375,34 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 					if failed() {
 						continue
 					}
+					// Under ExecBatch the compute — arenas included —
+					// happens wherever the hook runs; the pack comes back
+					// whole and its results reach the store in one commit
+					// before any of its cells counts as done.
+					if r.ExecBatch != nil {
+						cells := make([]CellSpec, len(co.hashes))
+						for i, h := range co.hashes {
+							cells[i] = states[h].spec
+						}
+						start := time.Now()
+						res, err := r.ExecBatch(cells)
+						if err == nil && len(res) != len(cells) {
+							err = fmt.Errorf("scenario: ExecBatch returned %d results for %d cells", len(res), len(cells))
+						}
+						share := time.Since(start) / time.Duration(len(cells))
+						outs := cache.doPack(cells, res, err, share)
+						mu.Lock()
+						for i, h := range co.hashes {
+							complete(h, outs[i].res, outs[i].tier, outs[i].err, share, false)
+						}
+						mu.Unlock()
+						continue
+					}
 					// Materialize the cohort's failure process once; nil
 					// (singleton, bad spec or over-budget arena) falls back
-					// to per-cell generation. Under ExecBatch the compute —
-					// arena included — happens wherever the hook runs, so no
-					// local arena is built.
+					// to per-cell generation.
 					var arena *sim.TraceArena
-					var batchRes []CellResult
-					var batchErr error
-					if r.ExecBatch != nil {
-						specs := make([]CellSpec, len(co.hashes))
-						for i, h := range co.hashes {
-							specs[i] = states[h].spec
-						}
-						batchRes, batchErr = r.ExecBatch(specs)
-						if batchErr == nil && len(batchRes) != len(specs) {
-							batchErr = fmt.Errorf("scenario: ExecBatch returned %d results for %d cells", len(batchRes), len(specs))
-						}
-					} else if len(co.hashes) > 1 {
+					if len(co.hashes) > 1 {
 						cells := make([]CellSpec, len(co.hashes))
 						for i, h := range co.hashes {
 							cells[i] = states[h].spec
@@ -345,72 +413,18 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 							mu.Unlock()
 						}
 					}
-					for i, h := range co.hashes {
+					for _, h := range co.hashes {
 						if failed() {
 							break
 						}
 						st := states[h]
-						exec := func() (CellResult, error) {
-							return st.spec.ExecuteOpts(ExecOptions{Workers: simWorkers, Arena: arena})
-						}
-						if r.ExecBatch != nil {
-							i := i
-							exec = func() (CellResult, error) {
-								if batchErr != nil {
-									return CellResult{}, batchErr
-								}
-								return batchRes[i], nil
-							}
-						}
 						start := time.Now()
-						res, tier, err := cache.do(st.spec, exec)
+						res, tier, err := cache.do(st.spec, func() (CellResult, error) {
+							return st.spec.ExecuteOpts(ExecOptions{Workers: simWorkers, Arena: arena})
+						})
 						elapsed := time.Since(start)
 						mu.Lock()
-						if err != nil {
-							if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							continue
-						}
-						st.result, st.done = res, true
-						st.cached = tier != TierExec
-						if st.cached {
-							report.CacheHits++
-							elapsed = 0
-						} else {
-							report.Executed++
-							if arena != nil {
-								report.CohortCells++
-							}
-							if st.spec.Precision != nil && res.Sim != nil {
-								report.AdaptiveCells++
-								report.AdaptiveReplicasUsed += int64(res.Sim.Runs)
-								report.AdaptiveReplicasCap += int64(res.Sim.RepsCap)
-							}
-						}
-						completed++
-						// Callbacks run under the lock: they are never invoked
-						// concurrently, at the price of serializing progress
-						// reporting (cell execution itself stays parallel).
-						emit(CellEvent{Hash: h, Index: completed, Total: len(order), Cached: st.cached, Elapsed: elapsed})
-						// A scenario may reference the same cell more than
-						// once; subscribers holds one entry per reference, so
-						// every reference is decremented exactly once.
-						for _, run := range subscribers[h] {
-							if firstErr != nil {
-								break
-							}
-							run.pending--
-							done := run.pending == 0 && artifacts[run.slot] == nil
-							if done {
-								if err := finishSpec(run); err != nil && firstErr == nil {
-									firstErr = err
-									break
-								}
-							}
-							emitScenario(run, done)
-						}
+						complete(h, res, tier, err, elapsed, arena != nil)
 						mu.Unlock()
 					}
 				}

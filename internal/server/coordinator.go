@@ -1,8 +1,11 @@
 // Sharded campaign execution. A server becomes a coordinator when its
 // Config lists worker base URLs: campaign jobs still expand, deduplicate,
-// preload and assemble locally, but cell execution is dispatched — one
-// trace cohort per shard, so a cohort's shared failure process still
-// materializes once, on whichever worker receives it. Workers are plain
+// preload and assemble locally, but cell execution is dispatched in packs
+// of whole trace cohorts — about 8 × Workers shards per job, each at most
+// scenario.MaxShardCells cells — so a cohort's shared failure process still
+// materializes once, on whichever worker receives it, and the per-shard
+// round trip and the store commit of its results are paid once per pack,
+// not once per cell. Workers are plain
 // ftserve instances exposing POST /v1/shards; pointing every node at one
 // shared result store (see internal/store) deduplicates across the fleet
 // and lets a restarted coordinator reuse everything already computed.
@@ -30,12 +33,9 @@ import (
 	"abftckpt/internal/scenario"
 )
 
-// DefaultShardTimeout bounds one shard round-trip (a cohort of simulation
+// DefaultShardTimeout bounds one shard round-trip (a pack of simulation
 // cells can legitimately run minutes).
 const DefaultShardTimeout = 15 * time.Minute
-
-// maxShardCells bounds the cells one shard request may carry.
-const maxShardCells = 4096
 
 // dispatchRounds is how many passes over the worker list a shard attempts
 // before the job fails; later rounds back off so a transiently saturated
@@ -55,8 +55,8 @@ const probeTimeout = 2 * time.Second
 
 // shardRequest is the POST /v1/shards request body.
 type shardRequest struct {
-	// Cells are the cells to execute, at most maxShardCells. The
-	// coordinator sends one trace cohort per request.
+	// Cells are the cells to execute, at most scenario.MaxShardCells. The
+	// coordinator sends one pack of whole trace cohorts per request.
 	Cells []scenario.CellSpec `json:"cells"`
 }
 
@@ -105,33 +105,10 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.cellSem }()
 
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	var req shardRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"shard body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "parse shard: %v", err)
+	req, status, err := parseShard(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, status, "%v", err)
 		return
-	}
-	if len(req.Cells) == 0 {
-		writeError(w, http.StatusBadRequest, "shard has no cells")
-		return
-	}
-	if len(req.Cells) > maxShardCells {
-		writeError(w, http.StatusBadRequest,
-			"shard has %d cells, limit %d", len(req.Cells), maxShardCells)
-		return
-	}
-	for i := range req.Cells {
-		if err := req.Cells[i].Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-			return
-		}
 	}
 	simWorkers := s.workers
 	if simWorkers <= 0 {
@@ -148,6 +125,35 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		Executed: out.Executed,
 		Cached:   out.Cached,
 	})
+}
+
+// parseShard decodes and validates a POST /v1/shards body. A rejected
+// body comes back with its 4xx status: 413 past the reader's byte limit,
+// 400 for anything malformed, empty, over scenario.MaxShardCells or
+// holding an invalid cell.
+func parseShard(body io.Reader) (*shardRequest, int, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var req shardRequest
+	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("shard body exceeds %d bytes", tooBig.Limit)
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("parse shard: %w", err)
+	}
+	if len(req.Cells) == 0 {
+		return nil, http.StatusBadRequest, errors.New("shard has no cells")
+	}
+	if len(req.Cells) > scenario.MaxShardCells {
+		return nil, http.StatusBadRequest, fmt.Errorf("shard has %d cells, limit %d", len(req.Cells), scenario.MaxShardCells)
+	}
+	for i := range req.Cells {
+		if err := req.Cells[i].Validate(); err != nil {
+			return nil, http.StatusBadRequest, fmt.Errorf("cell %d: %w", i, err)
+		}
+	}
+	return &req, 0, nil
 }
 
 // workerBusyError is a 429 from a worker: the worker is alive but
@@ -176,7 +182,7 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Second
 }
 
-// dispatchShard sends one cohort of cells to a worker: round-robin pick,
+// dispatchShard sends one pack of cells to a worker: round-robin pick,
 // failover through the rest of the fleet, bounded retry rounds with
 // full-jitter exponential backoff that honors the largest Retry-After
 // seen in the round. Workers behind an open circuit breaker are skipped

@@ -553,13 +553,25 @@ func (s *Server) runJob(j *job, campaign *scenario.Campaign) {
 		OnArtifact: j.onArtifact,
 	}
 	if len(s.workerURLs) > 0 {
-		// Coordinator mode: cohorts execute on the worker fleet; the local
+		// Coordinator mode: packs of cohorts execute on the worker fleet; the local
 		// runner still owns dedupe, cache preload and artifact assembly.
 		runner.ExecBatch = func(specs []scenario.CellSpec) ([]scenario.CellResult, error) {
 			return s.dispatchShard(j, specs)
 		}
 	}
 	report, err := runner.Run(campaign)
+	// Fold the report into the server counters before publishing the
+	// terminal state: a client that observes "done" must find the job's
+	// work in /v1/stats and /metrics.
+	if report != nil {
+		s.mu.Lock()
+		s.cohorts.Built += int64(report.Cohorts)
+		s.cohorts.ReplayedCells += int64(report.CohortCells)
+		s.adaptive.Cells += int64(report.AdaptiveCells)
+		s.adaptive.ReplicasUsed += report.AdaptiveReplicasUsed
+		s.adaptive.ReplicasCap += report.AdaptiveReplicasCap
+		s.mu.Unlock()
+	}
 	j.finish(report, err)
 	// A naturally finished job (done, or failed on its own terms) leaves
 	// the journal; a force-failed one (shutdown) keeps its entry so the
@@ -570,13 +582,6 @@ func (s *Server) runJob(j *job, campaign *scenario.Campaign) {
 	// Re-run eviction now that this job is finished: without it, jobs
 	// past MaxJobs would linger until the next submission.
 	s.mu.Lock()
-	if report != nil {
-		s.cohorts.Built += int64(report.Cohorts)
-		s.cohorts.ReplayedCells += int64(report.CohortCells)
-		s.adaptive.Cells += int64(report.AdaptiveCells)
-		s.adaptive.ReplicasUsed += report.AdaptiveReplicasUsed
-		s.adaptive.ReplicasCap += report.AdaptiveReplicasCap
-	}
 	s.runningJobs--
 	s.evictLocked()
 	s.mu.Unlock()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,6 +38,14 @@ const periodsCellBody = `{"op": "periods", "probe": {"c": 60, "mu": 3600, "d": 6
 func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
 	srv := New(Config{Cache: scenario.NewCellCache(t.TempDir(), 128), Workers: 2})
+	// A job publishes "done" before its runner goroutine has left the
+	// journal; let it finish writing the cache directory before the
+	// TempDir cleanup (registered earlier, so run later) removes it.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.AwaitIdle(ctx)
+	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv

@@ -43,13 +43,19 @@ func (s *Disk) Get(key string) ([]byte, error) {
 }
 
 // Put implements ResultStore: write a temp file in the shard directory and
-// rename it into place, so readers never observe a torn value.
+// rename it into place, so readers never observe a torn value. The shard
+// directory is created only when the temp file cannot be, so a warm
+// store pays no MkdirAll per write.
 func (s *Disk) Put(key string, value []byte) error {
 	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: disk dir: %w", err)
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "cell-*")
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("store: disk dir: %w", err)
+		}
+		tmp, err = os.CreateTemp(dir, "cell-*")
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "cell-*")
 	if err != nil {
 		return fmt.Errorf("store: disk put: %w", err)
 	}

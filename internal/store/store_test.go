@@ -151,6 +151,30 @@ func TestDiskLayoutCompatibility(t *testing.T) {
 	}
 }
 
+// TestDiskPutRecreatesRemovedShardDir removes a shard directory behind
+// the store's back: the next Put into that shard must recreate it, and
+// the value must round-trip.
+func TestDiskPutRecreatesRemovedShardDir(t *testing.T) {
+	dir := t.TempDir()
+	s := NewDisk(dir)
+	h := strings.Repeat("ef", 32)
+	if err := s.Put(h, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, h[:2])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(h); err != ErrNotFound {
+		t.Fatalf("get after removal: %v, want ErrNotFound", err)
+	}
+	if err := s.Put(h, []byte("second")); err != nil {
+		t.Fatalf("put into removed shard dir: %v", err)
+	}
+	if got, err := s.Get(h); err != nil || string(got) != "second" {
+		t.Fatalf("round trip: %q, %v", got, err)
+	}
+}
+
 // countingStore wraps Memory and counts PutBatch commits and items.
 type countingStore struct {
 	*Memory
