@@ -114,29 +114,83 @@ func TestReplicaRunnerAllocFree(t *testing.T) {
 	}
 }
 
-// Aggregates of the rewired Simulate stay pinned to values captured before
-// the optimization (seed 42, 64 reps, the Figure 7 scenario at mu=2h,
-// alpha=0.8): a coarse end-to-end tripwire on top of the exact per-replica
-// equivalence above.
-func TestSimulateAggregatePinned(t *testing.T) {
-	agg := Simulate(Config{
-		Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.AbftPeriodicCkpt,
-		Reps: 64, Seed: 42, Workers: 1,
-	})
-	for _, p := range []struct {
-		name string
-		got  float64
-		want string
-	}{
-		{"waste mean", agg.Waste.Mean, "0.15613855"},
-		{"faults mean", agg.Faults.Mean, "100.43750000"},
-		{"tfinal mean", agg.TFinal.Mean, "716947.31994638"},
-	} {
-		if got := fmt.Sprintf("%.8f", p.got); got != p.want {
-			t.Errorf("%s = %s, want pinned %s", p.name, got, p.want)
+// pinnedCase is one pinned campaign: its waste, faults and tfinal means
+// formatted %.8f, and its truncated replica count.
+type pinnedCase struct {
+	name                  string
+	run                   func() Aggregate
+	waste, faults, tfinal string
+	truncated             int
+}
+
+// pinnedCases are campaigns of every failure family whose aggregates are
+// pinned to values captured before the families shared one replica engine:
+// a coarse end-to-end tripwire on top of the exact per-replica equivalence
+// tests. Every case runs 64 replicas on one worker.
+func pinnedCases() []pinnedCase {
+	weibull := func(m float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, m) }
+	silent := func(mode model.SilentRecovery, d func(float64) dist.Distribution) func() Aggregate {
+		return func() Aggregate {
+			cfg := silentTestConfig(mode)
+			cfg.Reps, cfg.Seed, cfg.Workers, cfg.Distribution = 64, 42, 1, d
+			return SimulateSilent(cfg)
 		}
 	}
-	if agg.Truncated != 0 || agg.Runs != 64 {
-		t.Errorf("runs/truncated = %d/%d, want 64/0", agg.Runs, agg.Truncated)
+	twoLevel := func(mu, maxTime float64, d func(float64) dist.Distribution) func() Aggregate {
+		return func() Aggregate {
+			cfg := mlTestConfig()
+			cfg.Params.Mu = mu
+			cfg.Reps, cfg.Seed, cfg.Workers, cfg.Distribution, cfg.MaxTimeFactor = 64, 42, 1, d, maxTime
+			return SimulateMultiLevel(cfg)
+		}
+	}
+	return []pinnedCase{
+		// The Figure 7 scenario at mu=2h, alpha=0.8, seed 42.
+		{name: "periodic composite", run: func() Aggregate {
+			return Simulate(Config{
+				Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.AbftPeriodicCkpt,
+				Reps: 64, Seed: 42, Workers: 1,
+			})
+		}, waste: "0.15613855", faults: "100.43750000", tfinal: "716947.31994638"},
+		{name: "silent backward exp", run: silent(model.SilentBackward, nil),
+			waste: "0.25401642", faults: "20.81250000", tfinal: "1341982.74700414"},
+		{name: "silent backward weibull", run: silent(model.SilentBackward, weibull),
+			waste: "0.24645650", faults: "19.53125000", tfinal: "1329783.61728534"},
+		{name: "silent forward exp", run: silent(model.SilentForward, nil),
+			waste: "0.16364178", faults: "18.06250000", tfinal: "1196061.27275233"},
+		{name: "silent forward weibull", run: silent(model.SilentForward, weibull),
+			waste: "0.15922848", faults: "16.45312500", tfinal: "1190024.31268999"},
+		{name: "two-level exp", run: twoLevel(2e5, 0, nil),
+			waste: "0.07527872", faults: "5.40625000", tfinal: "1082500.67371602"},
+		{name: "two-level weibull", run: twoLevel(2e5, 0, weibull),
+			waste: "0.07193058", faults: "5.50000000", tfinal: "1079085.02327374"},
+		// A failure rate at which the 2W horizon truncates about a third of
+		// the replicas, pinning the capped drain paths.
+		{name: "two-level truncating", run: twoLevel(1.8e4, 2, nil),
+			waste: "0.63580679", faults: "104.54687500", tfinal: "1852618.99758451", truncated: 23},
+	}
+}
+
+func TestSimulateAggregatePinned(t *testing.T) {
+	for _, tc := range pinnedCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			agg := tc.run()
+			for _, p := range []struct {
+				name string
+				got  float64
+				want string
+			}{
+				{"waste mean", agg.Waste.Mean, tc.waste},
+				{"faults mean", agg.Faults.Mean, tc.faults},
+				{"tfinal mean", agg.TFinal.Mean, tc.tfinal},
+			} {
+				if got := fmt.Sprintf("%.8f", p.got); got != p.want {
+					t.Errorf("%s = %s, want pinned %s", p.name, got, p.want)
+				}
+			}
+			if agg.Truncated != tc.truncated || agg.Runs != 64 {
+				t.Errorf("runs/truncated = %d/%d, want 64/%d", agg.Runs, agg.Truncated, tc.truncated)
+			}
+		})
 	}
 }

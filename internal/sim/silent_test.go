@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"abftckpt/internal/des"
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
+	"abftckpt/internal/rng"
 )
 
 func silentTestConfig(mode model.SilentRecovery) SilentConfig {
@@ -52,17 +54,39 @@ func TestSilentSimMatchesModel(t *testing.T) {
 	}
 }
 
-// TestSilentDESEquivalence pins the pattern walker and the event-calendar
-// path to bit-identical aggregates for both recovery modes.
-func TestSilentDESEquivalence(t *testing.T) {
+// TestSilentRunnerMatchesDES pins the worker-owned pattern walker to the
+// event-calendar reference walker replica by replica, bit for bit, for both
+// recovery modes, both laws and a horizon that truncates replicas.
+func TestSilentRunnerMatchesDES(t *testing.T) {
+	weibull := func(mu float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mu) }
+	var cfgs []SilentConfig
 	for _, mode := range model.SilentRecoveries {
-		cfg := silentTestConfig(mode)
-		cfg.Reps = 60
-		walker := SimulateSilent(cfg)
-		cfg.UseEventCalendar = true
-		des := SimulateSilent(cfg)
-		if walker != des {
-			t.Fatalf("%v: walker and DES aggregates differ:\nwalker %+v\ndes    %+v", mode, walker, des)
+		for _, d := range []func(float64) dist.Distribution{nil, weibull} {
+			cfg := silentTestConfig(mode)
+			cfg.Distribution = d
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	tight := silentTestConfig(model.SilentBackward)
+	tight.MaxTimeFactor = 1.3
+	cfgs = append(cfgs, tight)
+	for ci, cfg := range cfgs {
+		cfg = cfg.withDefaults()
+		distrib := cfg.Distribution(cfg.Params.MuSilent)
+		r := newSilentRunner(cfg, distrib)
+		truncated := 0
+		for rep := 0; rep < 48; rep++ {
+			got := r.run(rep)
+			want := silentOnceDES(des.New(), cfg, newErrorClock(distrib, rng.New(rng.At(cfg.Seed, uint64(rep)))))
+			if got != want {
+				t.Fatalf("config %d rep %d diverged:\n got %+v\nwant %+v", ci, rep, got, want)
+			}
+			if got.Truncated {
+				truncated++
+			}
+		}
+		if cfg.MaxTimeFactor == 1.3 && truncated == 0 {
+			t.Errorf("config %d: expected the tight horizon to truncate at least one replica", ci)
 		}
 	}
 }
