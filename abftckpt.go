@@ -117,17 +117,9 @@ type SimConfig = sim.Config
 // SimAggregate summarizes a simulation campaign.
 type SimAggregate = sim.Aggregate
 
-// Simulate runs the discrete-event simulator: Reps independent executions
-// of the protocol over random failure traces, run across a worker pool and
-// aggregated with confidence intervals. Results are bit-identical for any
-// worker count at a fixed seed.
-func Simulate(cfg SimConfig) SimAggregate {
-	return sim.Simulate(cfg)
-}
-
 // TraceArena is a materialized failure process: per-repetition arrival
 // streams generated once and replayed across simulation campaigns that
-// share the process (see SimulateFromTrace).
+// share the process (see SimOptions.Arena).
 type TraceArena = sim.TraceArena
 
 // BuildTraceArena materializes the failure process (d, seed, reps) through
@@ -136,34 +128,30 @@ func BuildTraceArena(d Distribution, seed uint64, reps int, horizon float64) *Tr
 	return sim.BuildTraceArena(d, seed, reps, horizon)
 }
 
-// SimulateFromTrace runs the simulator like Simulate but replays failure
-// arrivals from a prebuilt arena — bit-identical results, with the stream
-// generation cost paid once per arena instead of once per campaign.
-func SimulateFromTrace(cfg SimConfig, tr *TraceArena) SimAggregate {
-	return sim.SimulateFromTrace(cfg, tr)
-}
-
 // SimPrecision configures adaptive-precision execution: a CI half-width
 // target that turns cfg.Reps into a cap (see sim.Precision).
 type SimPrecision = sim.Precision
+
+// SimOptions are a campaign's execution choices: an Arena to replay
+// failure arrivals from (bit-identical results, with the stream generation
+// cost paid once per arena instead of once per campaign) and a Precision
+// block for sequential stopping.
+type SimOptions = sim.Options
 
 // SimAdaptiveAggregate extends SimAggregate with the sequential-stopping
 // estimate, its half-width and the control-variate diagnostics.
 type SimAdaptiveAggregate = sim.AdaptiveAggregate
 
-// SimulateAdaptive runs replicas in doubling batches until the waste CI
-// half-width meets the precision target (or cfg.Reps is exhausted, where
-// the result is bit-identical to Simulate's aggregate). Under exponential
-// failures the analytic model prediction serves as a control variate.
-func SimulateAdaptive(cfg SimConfig, prec SimPrecision) SimAdaptiveAggregate {
-	return sim.SimulateAdaptive(cfg, prec)
-}
-
-// SimulateAdaptiveFromTrace is SimulateAdaptive over a prebuilt arena
-// covering at least cfg.Reps repetitions — identical results to the live
-// path, including the control-variate statistics.
-func SimulateAdaptiveFromTrace(cfg SimConfig, tr *TraceArena, prec SimPrecision) SimAdaptiveAggregate {
-	return sim.SimulateAdaptiveFromTrace(cfg, tr, prec)
+// Simulate runs the discrete-event simulator: Reps independent executions
+// of the protocol over random failure traces, run across a worker pool and
+// aggregated with confidence intervals. Results are bit-identical for any
+// worker count at a fixed seed. With a Precision block, replicas run in
+// doubling batches until the waste CI half-width meets the target (or
+// cfg.Reps is exhausted, where the result is bit-identical to a fixed run);
+// under exponential failures the analytic model prediction serves as a
+// control variate.
+func Simulate(cfg SimConfig, o SimOptions) SimAdaptiveAggregate {
+	return sim.Simulate(cfg, o)
 }
 
 // SilentRecovery selects how a verified-pattern protocol recovers from a

@@ -36,7 +36,7 @@ func TestFacadeOptimalPeriod(t *testing.T) {
 
 func TestFacadeSimulate(t *testing.T) {
 	p := Fig7Params(2*Hour, 0.5)
-	agg := Simulate(SimConfig{Params: p, Protocol: AbftPeriodicCkpt, Reps: 50, Seed: 1})
+	agg := Simulate(SimConfig{Params: p, Protocol: AbftPeriodicCkpt, Reps: 50, Seed: 1}, SimOptions{})
 	predicted := Predict(AbftPeriodicCkpt, p).Waste
 	if math.Abs(agg.Waste.Mean-predicted) > 0.08 {
 		t.Fatalf("sim %v vs model %v", agg.Waste.Mean, predicted)
@@ -76,7 +76,7 @@ func TestFacadeDistributions(t *testing.T) {
 	agg := Simulate(SimConfig{
 		Params: p, Protocol: AbftPeriodicCkpt, Reps: 30, Seed: 2,
 		Distribution: func(mtbf float64) Distribution { return Weibull(0.7, mtbf) },
-	})
+	}, SimOptions{})
 	if agg.Waste.Mean <= 0 || agg.Waste.Mean >= 1 {
 		t.Errorf("weibull campaign waste = %v", agg.Waste.Mean)
 	}
@@ -124,7 +124,7 @@ func TestFacadeSimulateWorkerInvariance(t *testing.T) {
 	serial.Workers = 1
 	parallel := base
 	parallel.Workers = 8
-	if Simulate(serial) != Simulate(parallel) {
+	if Simulate(serial, SimOptions{}).Aggregate != Simulate(parallel, SimOptions{}).Aggregate {
 		t.Error("facade Simulate not worker-count invariant")
 	}
 }

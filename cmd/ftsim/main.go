@@ -126,7 +126,7 @@ func main() {
 				}
 				prec.ModelTFinal = float64(epochCount) * pred.TFinal
 			}
-			agg := sim.SimulateAdaptive(cfg, prec)
+			agg := sim.Simulate(cfg, sim.Options{Precision: prec})
 			cvNote := "off"
 			if agg.CVActive {
 				cvNote = fmt.Sprintf("%.3f", agg.CVVarianceRatio)
@@ -136,7 +136,7 @@ func main() {
 				fmt.Sprintf("%d/%d", agg.Runs, agg.RepsCap), cvNote, agg.Stopped)
 			continue
 		}
-		agg := sim.Simulate(cfg)
+		agg := sim.Simulate(cfg, sim.Options{})
 		fmt.Printf("%-22s %.4f ±%.4f    %-10.4f %-12.2f %d/%d\n",
 			proto, agg.Waste.Mean, agg.Waste.CI95, pred.Waste, agg.Faults.Mean, agg.Truncated, agg.Runs)
 	}

@@ -27,7 +27,7 @@ func main() {
 			Protocol: proto,
 			Reps:     200,
 			Seed:     42,
-		})
+		}, abftckpt.SimOptions{})
 		fmt.Printf("%-22s %-12.4f %.4f ±%.4f\n",
 			proto, predicted.Waste, simulated.Waste.Mean, simulated.Waste.CI95)
 	}

@@ -72,7 +72,7 @@ func Suite() []Benchmark {
 			Fn: func(b *testing.B) {
 				cfg := fig7Sim(replicaReps)
 				for i := 0; i < b.N; i++ {
-					sim.Simulate(cfg)
+					sim.Simulate(cfg, sim.Options{})
 				}
 			},
 		},
@@ -88,7 +88,7 @@ func Suite() []Benchmark {
 					return dist.WeibullWithMTBF(0.7, mtbf)
 				}
 				for i := 0; i < b.N; i++ {
-					sim.Simulate(cfg)
+					sim.Simulate(cfg, sim.Options{})
 				}
 			},
 		},
@@ -105,7 +105,7 @@ func Suite() []Benchmark {
 				tr := sim.BuildTraceArena(dist.NewExponential(cfg.Params.Mu), cfg.Seed, cfg.Reps, 1.5*cfg.Params.T0)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sim.SimulateFromTrace(cfg, tr)
+					sim.Simulate(cfg, sim.Options{Arena: tr})
 				}
 			},
 		},
@@ -115,26 +115,67 @@ func Suite() []Benchmark {
 			Gated: true,
 			Fn: func(b *testing.B) {
 				cfg := fig7Sim(4096)
-				prec := sim.Precision{
+				opts := sim.Options{Precision: sim.Precision{
 					RelTarget:   0.05,
 					Batch:       64,
 					ModelTFinal: model.Evaluate(cfg.Protocol, cfg.Params, model.Options{}).TFinal,
-				}
+				}}
 				for i := 0; i < b.N; i++ {
-					sim.SimulateAdaptive(cfg, prec)
+					sim.Simulate(cfg, opts)
 				}
 			},
 		},
 		{
 			Name:       "sim/replica_des",
-			Brief:      "replica loop through the event-calendar engine (cross-validation path)",
+			Brief:      "replicas through the event-calendar reference walker (cross-validation path)",
 			UnitsPerOp: desReps,
 			UnitName:   "replicas",
 			Fn: func(b *testing.B) {
 				cfg := fig7Sim(desReps)
-				cfg.UseEventCalendar = true
+				exp := dist.NewExponential(cfg.Params.Mu)
 				for i := 0; i < b.N; i++ {
-					sim.Simulate(cfg)
+					for rep := 0; rep < desReps; rep++ {
+						src := rng.New(rng.At(cfg.Seed, uint64(rep)))
+						sim.SimulateOnceDES(cfg, sim.NewRenewalSource(exp, src))
+					}
+				}
+			},
+		},
+		{
+			Name:       "sim/silent_loop",
+			Brief:      "serial silent-error replica loop, backward recovery (pattern step on the work clock)",
+			UnitsPerOp: replicaReps,
+			UnitName:   "replicas",
+			Fn: func(b *testing.B) {
+				cfg := sim.SilentConfig{
+					Params:  model.SilentParams{W: 1e6, MuSilent: 5e4, V: 500, C: 500, R: 2000, F: 100, Detect: 50},
+					Mode:    model.SilentBackward,
+					Reps:    replicaReps,
+					Seed:    42,
+					Workers: 1,
+				}
+				for i := 0; i < b.N; i++ {
+					sim.SimulateSilent(cfg)
+				}
+			},
+		},
+		{
+			Name:       "sim/ml_loop",
+			Brief:      "serial two-level checkpointing replica loop (segment step with coverage lottery)",
+			UnitsPerOp: replicaReps,
+			UnitName:   "replicas",
+			Fn: func(b *testing.B) {
+				cfg := sim.MultiLevelConfig{
+					Params: model.MultiLevelParams{
+						W: 1e6, Mu: 2e5, D: 60, C1: 100, R1: 100, C2: 1000, R2: 1000,
+						Coverage: 0.8, Period: 1e4, K: 5,
+					},
+					Reps:    replicaReps,
+					Seed:    42,
+					Workers: 1,
+				}
+				for i := 0; i < b.N; i++ {
+					sim.SimulateMultiLevel(cfg)
 				}
 			},
 		},

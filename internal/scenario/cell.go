@@ -516,8 +516,8 @@ func (c CellSpec) validateMonteCarlo() error {
 
 // ExecOptions tune how a cell executes. They never change the result: any
 // combination is bit-identical to the default (sim.Simulate's worker
-// invariance and sim.SimulateFromTrace's replay equivalence), so the cache
-// key stays the cell spec alone.
+// invariance and its trace-replay equivalence), so the cache key stays the
+// cell spec alone.
 type ExecOptions struct {
 	// Workers bounds replica-level parallelism inside a simulation cell
 	// (<= 0: single-threaded). The Runner lends idle workers to cells when
@@ -565,8 +565,9 @@ func (c CellSpec) ExecuteOpts(o ExecOptions) (CellResult, error) {
 			Distribution: ctor,
 			Safeguard:    c.Options.Safeguard,
 		}
+		opts := sim.Options{Arena: o.Arena}
 		if p := c.Precision; p != nil {
-			prec := sim.Precision{
+			opts.Precision = sim.Precision{
 				RelTarget:             p.RelCI,
 				AbsTarget:             p.AbsCI,
 				Batch:                 p.Batch,
@@ -581,23 +582,14 @@ func (c CellSpec) ExecuteOpts(o ExecOptions) (CellResult, error) {
 				if epochs <= 0 {
 					epochs = 1
 				}
-				prec.ModelTFinal = float64(epochs) * r.TFinal
+				opts.Precision.ModelTFinal = float64(epochs) * r.TFinal
 			}
-			var agg sim.AdaptiveAggregate
-			if o.Arena != nil {
-				agg = sim.SimulateAdaptiveFromTrace(cfg, o.Arena, prec)
-			} else {
-				agg = sim.SimulateAdaptive(cfg, prec)
-			}
+		}
+		agg := sim.Simulate(cfg, opts)
+		if c.Precision != nil {
 			return CellResult{Sim: newAdaptiveSimCellResult(agg)}, nil
 		}
-		var agg sim.Aggregate
-		if o.Arena != nil {
-			agg = sim.SimulateFromTrace(cfg, o.Arena)
-		} else {
-			agg = sim.Simulate(cfg)
-		}
-		return CellResult{Sim: newSimCellResult(agg)}, nil
+		return CellResult{Sim: newSimCellResult(agg.Aggregate)}, nil
 	case OpSilentModel:
 		mode, _ := model.ParseSilentRecovery(c.Silent.Recovery)
 		return CellResult{SilentModel: newSilentModelCellResult(model.EvaluateSilent(mode, c.Silent.Params))}, nil

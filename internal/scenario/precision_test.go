@@ -288,7 +288,7 @@ func TestFixedCellResultHasNoAdaptiveKeys(t *testing.T) {
 
 // TestAdaptiveCellUnderCohortMatchesSolo pins that arena replay does not
 // change an adaptive cell's result (the scenario-level face of
-// sim.SimulateAdaptiveFromTrace's equivalence guarantee).
+// sim.Simulate's adaptive trace-replay equivalence guarantee).
 func TestAdaptiveCellUnderCohortMatchesSolo(t *testing.T) {
 	run := func(disable bool) *Report {
 		r := &Runner{Workers: 2, DisableCohorts: disable}

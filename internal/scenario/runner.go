@@ -88,7 +88,7 @@ type Runner struct {
 	Workers int
 	// DisableCohorts turns off trace-cohort execution: every simulation
 	// cell regenerates its own failure streams. Results are identical
-	// either way (sim.SimulateFromTrace is bit-identical to sim.Simulate);
+	// either way (sim.Simulate's trace replay is bit-identical to drawing);
 	// the toggle exists for benchmarking and as an operational escape
 	// hatch.
 	DisableCohorts bool

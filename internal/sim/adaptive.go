@@ -3,18 +3,14 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"abftckpt/internal/dist"
-	"abftckpt/internal/stats"
 )
 
 // Adaptive-precision execution: instead of spending a fixed replica budget
-// per cell, SimulateAdaptive runs replicas in doubling batches and stops as
-// soon as the waste confidence interval is tight enough, hard-capped at
-// cfg.Reps. The interval is anytime-valid (stats.Sequential spends its
+// per cell, Simulate with Options.Precision runs replicas in doubling
+// batches and stops as soon as the waste confidence interval is tight
+// enough, hard-capped at cfg.Reps. The interval is anytime-valid (stats.Sequential spends its
 // error budget across looks at the law-of-iterated-logarithm rate), so the
 // CI reported at the data-dependent stopping time is an honest one — pinned
 // empirically by the coverage meta-tests in adaptive_test.go.
@@ -87,8 +83,8 @@ func (p Precision) Validate() error {
 	return nil
 }
 
-// AdaptiveAggregate extends Aggregate with the adaptive run's statistics.
-// The embedded Aggregate summarizes exactly the replicas that ran
+// AdaptiveAggregate is Simulate's result: Aggregate extended with the
+// adaptive run's statistics. The embedded Aggregate summarizes exactly the replicas that ran
 // (Runs <= RepsCap); its Waste.CI95 is the naive fixed-n half-width, while
 // WasteEstimate/WasteHalfWidth are the sequential procedure's honest values
 // (optional-stopping-valid, control-variate-adjusted) — report those.
@@ -118,207 +114,17 @@ type AdaptiveAggregate struct {
 	Replicas []float64
 }
 
-// SimulateAdaptive is Simulate with sequential stopping: replicas run in
-// doubling batches until the waste CI half-width meets prec's target or
-// cfg.Reps is exhausted. With an unreachable target it runs every replica
-// and the embedded Aggregate is bit-identical to Simulate(cfg) (pinned by
-// TestSimulateAdaptiveAtCapMatchesSimulate).
-func SimulateAdaptive(cfg Config, prec Precision) AdaptiveAggregate {
-	cfg = cfg.withDefaults()
-	if err := cfg.Params.Validate(); err != nil {
-		panic(err)
-	}
-	if err := prec.Validate(); err != nil {
-		panic(err)
-	}
-	distrib := cfg.Distribution(cfg.Params.Mu)
-	if distrib == nil {
-		panic("sim: Config.Distribution returned nil")
-	}
-	return adaptiveAggregate(cfg, distrib, nil, prec)
-}
-
-// SimulateAdaptiveFromTrace is SimulateAdaptive over a prebuilt TraceArena:
-// replicas replay the arena's failure streams (with live fallback past the
-// prefix) exactly as SimulateFromTrace does. The arena must hold at least
-// cfg.Reps streams — the hard cap — even though the run typically stops far
-// earlier; cohort scheduling sizes arenas by the cap so any cell of the
-// cohort, adaptive or fixed, can replay them.
-func SimulateAdaptiveFromTrace(cfg Config, tr *TraceArena, prec Precision) AdaptiveAggregate {
-	cfg = cfg.withDefaults()
-	if err := cfg.Params.Validate(); err != nil {
-		panic(err)
-	}
-	if err := prec.Validate(); err != nil {
-		panic(err)
-	}
-	if tr == nil {
-		panic("sim: SimulateAdaptiveFromTrace needs a trace arena (use SimulateAdaptive to generate on the fly)")
-	}
-	if tr.seed != cfg.Seed {
-		panic(fmt.Sprintf("sim: trace arena seed %d does not match Config.Seed %d", tr.seed, cfg.Seed))
-	}
-	if tr.Reps() < cfg.Reps {
-		panic(fmt.Sprintf("sim: trace arena holds %d replica streams, campaign cap needs %d", tr.Reps(), cfg.Reps))
-	}
-	distrib := cfg.Distribution(cfg.Params.Mu)
-	if distrib == nil {
-		panic("sim: Config.Distribution returned nil")
-	}
-	if distrib.Mean() != tr.mean {
-		panic(fmt.Sprintf("sim: trace arena mean %v does not match distribution mean %v", tr.mean, distrib.Mean()))
-	}
-	return adaptiveAggregate(cfg, distrib, tr, prec)
-}
-
 // cvHorizonFor resolves the control-variate horizon: positive only when the
 // CV is usable — an exponential law (the arrival count over a fixed window
 // is Poisson with exactly known mean; no closed-form renewal function exists
-// for the other laws) on the timeline-walker path, with a model prediction
-// available. The horizon is clipped to the run's safety cap.
-func cvHorizonFor(cfg Config, distrib dist.Distribution, prec Precision) float64 {
-	if prec.DisableControlVariate || cfg.UseEventCalendar {
-		return 0
-	}
-	if prec.ModelTFinal <= 0 || math.IsInf(prec.ModelTFinal, 0) {
+// for the other laws) with a model prediction available. The horizon is
+// clipped to the run's safety cap.
+func cvHorizonFor(distrib dist.Distribution, prec Precision, hardCap float64) float64 {
+	if prec.DisableControlVariate || prec.ModelTFinal <= 0 || math.IsInf(prec.ModelTFinal, 0) {
 		return 0
 	}
 	if _, ok := distrib.(dist.Exponential); !ok {
 		return 0
 	}
-	h := prec.ModelTFinal
-	useful := float64(cfg.Epochs) * cfg.Params.T0
-	if hardCap := cfg.MaxTimeFactor * math.Max(useful, 1); h > hardCap {
-		h = hardCap
-	}
-	return h
-}
-
-// adaptiveAggregate is the shared body of SimulateAdaptive and
-// SimulateAdaptiveFromTrace. It mirrors simulateAggregate's worker layout
-// and repetition-order reduce exactly — the only structural difference is
-// that replicas run in doubling batches with a sequential Look after each.
-func adaptiveAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena, prec Precision) AdaptiveAggregate {
-	prec = prec.withDefaults()
-	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	chunkSched := periodicChunkSchedules(phases)
-	capReps := cfg.Reps
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > capReps {
-		workers = capReps
-	}
-	cvHorizon := cvHorizonFor(cfg, distrib, prec)
-	runners := make([]*replicaRunner, workers)
-	for w := range runners {
-		runners[w] = newReplicaRunner(cfg, phases, chunkSched, distrib, tr)
-		runners[w].cvHorizon = cvHorizon
-	}
-	seq := stats.NewSequential(stats.SequentialOpts{
-		Alpha:       1 - prec.Confidence,
-		RelTarget:   prec.RelTarget,
-		AbsTarget:   prec.AbsTarget,
-		UseControl:  cvHorizon > 0,
-		ControlMean: cvHorizon / cfg.Params.Mu,
-	})
-	var waste, faults, tfinal, work, ckpt, lost, recovery stats.Accumulator
-	truncated := 0
-	var replicas []float64
-	if prec.KeepReplicas {
-		replicas = make([]float64, 0, prec.Batch)
-	}
-	reduce := func(r RunResult, cv float64) {
-		seq.AddControlled(r.Waste, cv)
-		waste.Add(r.Waste)
-		faults.Add(float64(r.Faults))
-		tfinal.Add(r.TFinal)
-		work.Add(r.Breakdown.Work)
-		ckpt.Add(r.Breakdown.Ckpt)
-		lost.Add(r.Breakdown.Lost)
-		recovery.Add(r.Breakdown.Recovery)
-		if r.Truncated {
-			truncated++
-		}
-		if prec.KeepReplicas {
-			replicas = append(replicas, r.Waste)
-		}
-	}
-	n := 0
-	batch := prec.Batch
-	stopped := false
-	for n < capReps {
-		m := min(batch, capReps-n)
-		runBatch(runners, n, m, reduce)
-		n += m
-		if _, stop := seq.Look(); stop {
-			stopped = true
-			break
-		}
-		batch *= 2
-	}
-	last := seq.LastInterval()
-	return AdaptiveAggregate{
-		Aggregate: Aggregate{
-			Waste:     waste.Summarize(),
-			Faults:    faults.Summarize(),
-			TFinal:    tfinal.Summarize(),
-			Work:      work.Summarize(),
-			Ckpt:      ckpt.Summarize(),
-			Lost:      lost.Summarize(),
-			Recovery:  recovery.Summarize(),
-			Runs:      n,
-			Truncated: truncated,
-		},
-		RepsCap:         capReps,
-		Looks:           seq.Looks(),
-		Stopped:         stopped,
-		WasteEstimate:   last.Mean,
-		WasteHalfWidth:  last.Half,
-		CVActive:        cvHorizon > 0,
-		CVBeta:          seq.Beta(),
-		CVVarianceRatio: seq.VarianceRatio(),
-		Replicas:        replicas,
-	}
-}
-
-// runBatch executes replicas [base, base+count) across the runners and
-// reduces them sequentially in repetition order — the same ordered reduce as
-// simulateAggregate, so running an adaptive campaign to its cap accumulates
-// bit-identically to Simulate.
-func runBatch(runners []*replicaRunner, base, count int, reduce func(RunResult, float64)) {
-	if len(runners) == 1 {
-		for i := 0; i < count; i++ {
-			res, cv := runners[0].runMeasured(base + i)
-			reduce(res, cv)
-		}
-		return
-	}
-	const blockSize = 4096
-	results := make([]RunResult, min(count, blockSize))
-	cvs := make([]float64, len(results))
-	for blk := 0; blk < count; blk += len(results) {
-		n := min(len(results), count-blk)
-		start := base + blk
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(len(runners))
-		for w := 0; w < len(runners); w++ {
-			go func(rr *replicaRunner) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					results[i], cvs[i] = rr.runMeasured(start + i)
-				}
-			}(runners[w])
-		}
-		wg.Wait()
-		for i := 0; i < n; i++ {
-			reduce(results[i], cvs[i])
-		}
-	}
+	return math.Min(prec.ModelTFinal, hardCap)
 }

@@ -59,19 +59,19 @@ func adaptiveMatrix() []Config {
 
 // TestSimulateAdaptiveAtCapMatchesSimulate pins the bit-identity contract:
 // an adaptive run whose target is unreachable executes every replica, and
-// its embedded Aggregate must equal Simulate(cfg) exactly — same floats,
+// its embedded Aggregate must equal simulate(cfg) exactly — same floats,
 // same order, same reduce — across protocols, laws, worker counts, and with
 // the control variate both off and on (the CV routes exponential replicas
 // through the scalar walker, which is pinned bit-identical to runExp).
 func TestSimulateAdaptiveAtCapMatchesSimulate(t *testing.T) {
 	for _, cfg := range adaptiveMatrix() {
-		want := Simulate(cfg)
+		want := simulate(cfg)
 		for _, cv := range []bool{false, true} {
 			prec := Precision{AbsTarget: unreachable, DisableControlVariate: !cv}
 			if cv {
 				prec.ModelTFinal = modelTFinal(cfg)
 			}
-			got := SimulateAdaptive(cfg, prec)
+			got := simulateAdaptive(cfg, prec)
 			if got.Aggregate != want {
 				t.Fatalf("proto %v workers %d cv %v: adaptive-at-cap aggregate diverges\n got %+v\nwant %+v",
 					cfg.Protocol, cfg.Workers, cv, got.Aggregate, want)
@@ -104,8 +104,8 @@ func TestSimulateAdaptiveQuickBitIdentity(t *testing.T) {
 		case 2:
 			cfg.Distribution = func(mtbf float64) dist.Distribution { return dist.LogNormalWithMTBF(1.2, mtbf) }
 		}
-		got := SimulateAdaptive(cfg, Precision{AbsTarget: unreachable, ModelTFinal: modelTFinal(cfg)})
-		return got.Aggregate == Simulate(cfg)
+		got := simulateAdaptive(cfg, Precision{AbsTarget: unreachable, ModelTFinal: modelTFinal(cfg)})
+		return got.Aggregate == simulate(cfg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestSimulateAdaptiveStopsEarly(t *testing.T) {
 		Reps:     1 << 14,
 		Seed:     5,
 	}
-	agg := SimulateAdaptive(cfg, Precision{RelTarget: 0.1, ModelTFinal: modelTFinal(cfg)})
+	agg := simulateAdaptive(cfg, Precision{RelTarget: 0.1, ModelTFinal: modelTFinal(cfg)})
 	if !agg.Stopped {
 		t.Fatalf("expected early stop, ran %d/%d replicas", agg.Runs, agg.RepsCap)
 	}
@@ -157,11 +157,11 @@ func TestSimulateAdaptiveFromTraceMatchesLive(t *testing.T) {
 	} {
 		cfg := tc.cfg.withDefaults()
 		prec := Precision{RelTarget: 0.08, Batch: 32, ModelTFinal: modelTFinal(cfg), KeepReplicas: true}
-		live := SimulateAdaptive(cfg, prec)
+		live := simulateAdaptive(cfg, prec)
 		d := cfg.Distribution(cfg.Params.Mu)
 		// A short horizon exercises the live-fallback continuation path too.
 		tr := BuildTraceArena(d, cfg.Seed, cfg.Reps, 2*cfg.Params.Mu)
-		replay := SimulateAdaptiveFromTrace(cfg, tr, prec)
+		replay := Simulate(cfg, Options{Arena: tr, Precision: prec})
 		if live.Aggregate != replay.Aggregate || live.WasteEstimate != replay.WasteEstimate ||
 			live.WasteHalfWidth != replay.WasteHalfWidth || live.CVBeta != replay.CVBeta ||
 			live.Runs != replay.Runs {
@@ -194,8 +194,7 @@ func TestControlVariateCountIsExact(t *testing.T) {
 	h := modelTFinal(cfg)
 	tr := BuildTraceArena(distrib, cfg.Seed, cfg.Reps, h)
 
-	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	r := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), distrib, nil)
+	r := periodicRunner(cfg, Options{})
 	r.cvHorizon = h
 	for rep := 0; rep < cfg.Reps; rep++ {
 		_, cv := r.runMeasured(rep)
@@ -222,9 +221,9 @@ func TestAdaptiveControlVariateHelps(t *testing.T) {
 		Seed:     77,
 	}
 	prec := Precision{RelTarget: 0.02, Batch: 64, ModelTFinal: modelTFinal(cfg)}
-	withCV := SimulateAdaptive(cfg, prec)
+	withCV := simulateAdaptive(cfg, prec)
 	prec.DisableControlVariate = true
-	plain := SimulateAdaptive(cfg, prec)
+	plain := simulateAdaptive(cfg, prec)
 	if !withCV.CVActive || plain.CVActive {
 		t.Fatalf("CVActive: got %v/%v, want true/false", withCV.CVActive, plain.CVActive)
 	}
@@ -255,8 +254,8 @@ func TestAdaptiveStoppingMonotoneInTarget(t *testing.T) {
 			Seed:     seed,
 		}
 		h := modelTFinal(cfg)
-		tight := SimulateAdaptive(cfg, Precision{RelTarget: t1, ModelTFinal: h})
-		loose := SimulateAdaptive(cfg, Precision{RelTarget: t2, ModelTFinal: h})
+		tight := simulateAdaptive(cfg, Precision{RelTarget: t1, ModelTFinal: h})
+		loose := simulateAdaptive(cfg, Precision{RelTarget: t2, ModelTFinal: h})
 		return tight.Runs >= loose.Runs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -278,12 +277,12 @@ func TestAdaptiveWasteCoverage(t *testing.T) {
 	}
 	truthCfg := cfg
 	truthCfg.Reps = 200_000
-	truth := Simulate(truthCfg).Waste.Mean
+	truth := simulate(truthCfg).Waste.Mean
 	h := modelTFinal(cfg)
 	report := stats.EstimateCoverage(500, 0.95, func(i int) (stats.Interval, float64) {
 		c := cfg
 		c.Seed = rng.At(987, uint64(i))
-		agg := SimulateAdaptive(c, Precision{RelTarget: 0.05, ModelTFinal: h})
+		agg := simulateAdaptive(c, Precision{RelTarget: 0.05, ModelTFinal: h})
 		return stats.Interval{N: agg.Runs, Mean: agg.WasteEstimate, Half: agg.WasteHalfWidth}, truth
 	})
 	t.Logf("adaptive waste coverage: %v", report)
@@ -313,7 +312,7 @@ func TestAdaptiveReplicaSavings(t *testing.T) {
 				Reps:     1 << 14,
 				Seed:     hashSeed(muH, proto),
 			}
-			agg := SimulateAdaptive(cfg, Precision{RelTarget: target, ModelTFinal: modelTFinal(cfg)})
+			agg := simulateAdaptive(cfg, Precision{RelTarget: target, ModelTFinal: modelTFinal(cfg)})
 			if !agg.Stopped {
 				t.Fatalf("mu=%vh %v: cell did not converge within the cap", muH, proto)
 			}
@@ -349,7 +348,7 @@ func fixedRepsForTarget(cfg Config, target float64) int {
 	for reps := 64; ; reps *= 2 {
 		c := cfg
 		c.Reps = reps
-		agg := Simulate(c)
+		agg := simulate(c)
 		if agg.Waste.CI95 <= target*math.Abs(agg.Waste.Mean) {
 			return reps
 		}

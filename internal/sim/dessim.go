@@ -11,25 +11,16 @@ import (
 // (internal/des): every work chunk, checkpoint and recovery is a scheduled
 // completion event that a failure event may preempt. The two
 // implementations are independent codepaths kept exactly equivalent (see
-// TestDESEquivalence), which cross-validates both.
+// TestDESEquivalenceExact), which cross-validates both.
 func SimulateOnceDES(cfg Config, source FailureSource) RunResult {
 	cfg = cfg.withDefaults()
 	if err := cfg.Params.Validate(); err != nil {
 		panic(err)
 	}
-	eng := des.New()
-	eng.EnableEventReuse()
-	return simulateOnceDES(eng, cfg, epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard), source)
-}
-
-// simulateOnceDES is the engine-reusing core of SimulateOnceDES: eng must be
-// freshly created or Reset, cfg must have defaults applied, and phases must
-// be the epoch phase sequence for cfg. Workers replay many replicas through
-// one engine, so the calendar and its event free list are allocated once.
-func simulateOnceDES(eng *des.Engine, cfg Config, phases []phaseSpec, source FailureSource) RunResult {
+	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
 	useful := float64(cfg.Epochs) * cfg.Params.T0
-	r := &desRunner{
-		eng:     eng,
+	r := &desWalker{
+		eng:     des.New(),
 		source:  source,
 		horizon: cfg.MaxTimeFactor * math.Max(useful, 1),
 	}
@@ -46,23 +37,14 @@ func simulateOnceDES(eng *des.Engine, cfg Config, phases []phaseSpec, source Fai
 		}
 		r.runPhase(phases[phase], func() { runFrom(epoch, phase+1) })
 	}
+	r.eng.EnableEventReuse()
 	r.eng.Schedule(0, func() { runFrom(0, 0) })
 	r.eng.Run(math.Inf(1))
-
-	res := RunResult{TFinal: r.eng.Now(), Faults: r.faults, Truncated: r.capped, Breakdown: r.b}
-	if r.capped {
-		res.Waste = 1
-	} else if res.TFinal > 0 {
-		res.Waste = 1 - useful/res.TFinal
-		if res.Waste < 0 {
-			res.Waste = 0
-		}
-	}
-	return res
+	return runResult(r.eng.Now(), useful, r.faults, r.capped, r.b)
 }
 
-// desRunner holds the event-driven run state.
-type desRunner struct {
+// desWalker holds the event-driven run state.
+type desWalker struct {
 	eng     *des.Engine
 	source  FailureSource
 	b       Breakdown
@@ -74,7 +56,7 @@ type desRunner struct {
 // attempt schedules an operation of duration d: either its completion event
 // fires (onOK) or the next failure preempts it (onFail with the completed
 // fraction). Reaching the safety horizon halts the run.
-func (r *desRunner) attempt(d float64, onOK func(), onFail func(done float64)) {
+func (r *desWalker) attempt(d float64, onOK func(), onFail func(done float64)) {
 	start := r.eng.Now()
 	next := r.source.NextAfter(start)
 	if start+d <= next {
@@ -95,7 +77,7 @@ func (r *desRunner) attempt(d float64, onOK func(), onFail func(done float64)) {
 	})
 }
 
-func (r *desRunner) checkHorizon() bool {
+func (r *desWalker) checkHorizon() bool {
 	if r.eng.Now() > r.horizon {
 		r.capped = true
 		r.eng.Halt()
@@ -106,7 +88,7 @@ func (r *desRunner) checkHorizon() bool {
 
 // recoverThen completes one downtime+recovery of the given cost, restarting
 // on failure, then continues.
-func (r *desRunner) recoverThen(cost float64, cont func()) {
+func (r *desWalker) recoverThen(cost float64, cont func()) {
 	r.attempt(cost,
 		func() {
 			r.b.Recovery += cost
@@ -119,7 +101,7 @@ func (r *desRunner) recoverThen(cost float64, cont func()) {
 }
 
 // runPhase executes one phase, then calls done.
-func (r *desRunner) runPhase(ph phaseSpec, done func()) {
+func (r *desWalker) runPhase(ph phaseSpec, done func()) {
 	switch ph.kind {
 	case phaseABFT:
 		var step func(remaining float64)
@@ -205,7 +187,7 @@ func (r *desRunner) runPhase(ph phaseSpec, done func()) {
 
 // exitCheckpoint performs the ABFT exit checkpoint, retrying under ABFT
 // recovery, then continues.
-func (r *desRunner) exitCheckpoint(ph phaseSpec, done func()) {
+func (r *desWalker) exitCheckpoint(ph phaseSpec, done func()) {
 	if ph.ckpt <= 0 {
 		done()
 		return

@@ -30,40 +30,39 @@ func equivConfigs() []Config {
 	}
 }
 
-// The optimized replica runner must be bit-identical — not approximately
-// equal — to the reference SimulateOnce walker on every substream: the same
-// rng draws in the same order, the same float operations in the same
-// association. The golden campaign CSVs and every cached cell depend on
-// this.
+// The engine's periodic step must be bit-identical — not approximately
+// equal — to both reference walkers, the timeline SimulateOnce and the
+// event-calendar SimulateOnceDES, on every substream: the same rng draws in
+// the same order, the same float operations in the same association. The
+// golden campaign CSVs and every cached cell depend on this.
 func TestReplicaRunnerMatchesSimulateOnce(t *testing.T) {
-	for ci, base := range equivConfigs() {
-		for _, useDES := range []bool{false, true} {
-			cfg := base
-			cfg.UseEventCalendar = useDES
-			cfg = cfg.withDefaults()
-			phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-			rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil)
-			truncated := 0
-			for rep := 0; rep < 48; rep++ {
-				got := rr.run(rep)
-				src := rng.New(rng.At(cfg.Seed, uint64(rep)))
-				fs := NewRenewalSource(cfg.Distribution(cfg.Params.Mu), src)
-				var want RunResult
-				if useDES {
-					want = SimulateOnceDES(cfg, fs)
-				} else {
-					want = SimulateOnce(cfg, fs)
+	for ci, cfg := range equivConfigs() {
+		cfg = cfg.withDefaults()
+		rr := periodicRunner(cfg, Options{})
+		truncated := 0
+		for rep := 0; rep < 48; rep++ {
+			got := rr.run(rep)
+			for _, walker := range []struct {
+				name string
+				once func(Config, FailureSource) RunResult
+			}{{"timeline", SimulateOnce}, {"des", SimulateOnceDES}} {
+				fs := NewRenewalSource(cfg.Distribution(cfg.Params.Mu), rng.New(rng.At(cfg.Seed, uint64(rep))))
+				want := walker.once(cfg, fs)
+				if walker.name == "des" && want.Truncated {
+					// The calendar halts mid-operation at the horizon and
+					// leaves that operation out of the breakdown.
+					want.Breakdown = got.Breakdown
 				}
 				if got != want {
-					t.Fatalf("config %d (des=%v) rep %d diverged:\n got %+v\nwant %+v", ci, useDES, rep, got, want)
-				}
-				if got.Truncated {
-					truncated++
+					t.Fatalf("config %d rep %d diverged from the %s walker:\n got %+v\nwant %+v", ci, rep, walker.name, got, want)
 				}
 			}
-			if cfg.MaxTimeFactor == 2 && truncated == 0 {
-				t.Errorf("config %d: expected the tight horizon to truncate at least one replica", ci)
+			if got.Truncated {
+				truncated++
 			}
+		}
+		if cfg.MaxTimeFactor == 2 && truncated == 0 {
+			t.Errorf("config %d: expected the tight horizon to truncate at least one replica", ci)
 		}
 	}
 }
@@ -72,9 +71,7 @@ func TestReplicaRunnerMatchesSimulateOnce(t *testing.T) {
 // arbitrary indices): replaying the same rep after unrelated ones is
 // bit-identical.
 func TestReplicaRunnerIsStateless(t *testing.T) {
-	cfg := equivConfigs()[0].withDefaults()
-	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil)
+	rr := periodicRunner(equivConfigs()[0], Options{})
 	first := rr.run(17)
 	for _, rep := range []int{3, 99, 0, 17, 41} {
 		rr.run(rep)
@@ -84,24 +81,28 @@ func TestReplicaRunnerIsStateless(t *testing.T) {
 	}
 }
 
-// The timeline hot path performs zero allocations per replica: all state
+// Every family's step performs zero allocations per replica: all state
 // lives in the worker's runner. This pins the optimization that took the
 // replica loop from 4 allocations per replica to none; a regression here
 // shows up long before it is visible in wall-clock benchmarks.
 func TestReplicaRunnerAllocFree(t *testing.T) {
+	weibull := func(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mtbf) }
+	silentWeibull := silentTestConfig(model.SilentForward)
+	silentWeibull.Distribution = weibull
 	cases := []struct {
 		name string
-		cfg  Config
+		rr   *replicaRunner
 	}{
-		{"exponential", Config{Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.AbftPeriodicCkpt, Seed: 42}},
-		{"weibull", Config{Params: model.Fig7Params(2*model.Hour, 0.5), Protocol: model.BiPeriodicCkpt, Seed: 3,
-			Distribution: func(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mtbf) }}},
+		{"exponential", periodicRunner(Config{Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.AbftPeriodicCkpt, Seed: 42}, Options{})},
+		{"weibull", periodicRunner(Config{Params: model.Fig7Params(2*model.Hour, 0.5), Protocol: model.BiPeriodicCkpt, Seed: 3,
+			Distribution: weibull}, Options{})},
+		{"silent", newReplicaRunner(silentTestConfig(model.SilentBackward).withDefaults().engine())},
+		{"silent weibull", newReplicaRunner(silentWeibull.withDefaults().engine())},
+		{"two-level", newReplicaRunner(mlTestConfig().withDefaults().engine())},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg.withDefaults()
-			phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-			rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), nil)
+			rr := tc.rr
 			rep := 0
 			allocs := testing.AllocsPerRun(100, func() {
 				_ = rr.run(rep)
@@ -147,7 +148,7 @@ func pinnedCases() []pinnedCase {
 	return []pinnedCase{
 		// The Figure 7 scenario at mu=2h, alpha=0.8, seed 42.
 		{name: "periodic composite", run: func() Aggregate {
-			return Simulate(Config{
+			return simulate(Config{
 				Params: model.Fig7Params(2*model.Hour, 0.8), Protocol: model.AbftPeriodicCkpt,
 				Reps: 64, Seed: 42, Workers: 1,
 			})

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"runtime"
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
@@ -61,18 +60,47 @@ func (c MultiLevelConfig) resolveSchedule() model.MultiLevelParams {
 	return p
 }
 
-// SimulateMultiLevelOnce executes one two-level run against one failure
-// trace; levels drives the per-failure coverage lottery. Faults counts the
-// failures that struck; Lost includes both in-flight partial operations and
-// level-1-committed segments destroyed by an uncovered failure.
-func SimulateMultiLevelOnce(cfg MultiLevelConfig, source FailureSource, levels *rng.Source) RunResult {
+// SimulateMultiLevel runs cfg.Reps independent two-level executions on the
+// replica engine, bit-identical for any worker count (replica-indexed
+// substreams, repetition-order reduce). The aggregate waste converges to
+// model.EvaluateMultiLevel's first-order prediction when failures are rare
+// relative to the pattern (pinned by TestMultiLevelSimMatchesModel).
+//
+// Faults counts the failures that struck; Lost includes both in-flight
+// partial operations and level-1-committed segments destroyed by an
+// uncovered failure.
+func SimulateMultiLevel(cfg MultiLevelConfig) Aggregate {
 	cfg = cfg.withDefaults()
+	fam, c := cfg.engine()
+	return drive(fam, c, cfg.Reps, cfg.Workers, nil).Aggregate
+}
+
+// engine validates a defaulted config and resolves its two-level step (with
+// a concrete schedule) and failure clock.
+func (cfg MultiLevelConfig) engine() (*twoLevelFamily, clock) {
 	p := cfg.resolveSchedule()
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	t := newTimeline(source, cfg.MaxTimeFactor*math.Max(p.W, 1))
-	var b Breakdown
+	return &twoLevelFamily{p: p}, clock{
+		seed:    cfg.Seed,
+		distrib: newDistribution(cfg.Distribution, cfg.Params.Mu),
+		horizon: cfg.MaxTimeFactor * math.Max(p.W, 1),
+	}
+}
+
+// twoLevelFamily is the two-level family's campaign-wide step: segments of
+// work plus a level-1 checkpoint over the runner's timeline, a level-2
+// checkpoint every K segments, and a per-failure coverage lottery drawn
+// from the runner's second stream, rng.At(Seed, rep, 1).
+type twoLevelFamily struct {
+	p model.MultiLevelParams // with a resolved schedule
+}
+
+func (f *twoLevelFamily) step(r *replicaRunner, rep int) RunResult {
+	p := &f.p
+	r.lottery.Reseed(rng.At(r.seed, uint64(rep), 1))
+	r.startTimeline()
 
 	// pattWork and pattCkpt track the work and level-1 checkpoint time
 	// committed since the last level-2 checkpoint: an uncovered failure
@@ -80,59 +108,37 @@ func SimulateMultiLevelOnce(cfg MultiLevelConfig, source FailureSource, levels *
 	done, pattWork, pattCkpt := 0.0, 0.0, 0.0
 	seg := 0 // segments committed in the current pattern
 
-	// recover completes one downtime+recovery, escalating to level 2 when
-	// any failure in the chain (the original or one interrupting recovery)
-	// is uncovered. It reports whether level-1 state survived.
-	recoverOp := func() (l1Intact bool) {
-		l1Intact = levels.Float64() < p.Coverage
-		for !t.capped {
-			cost := p.D + p.R1
-			if !l1Intact {
-				cost = p.D + p.R2
-			}
-			donePart, ok := t.run(cost)
-			if ok {
-				b.Recovery += donePart
-				return l1Intact
-			}
-			b.Lost += donePart
-			if levels.Float64() >= p.Coverage {
-				l1Intact = false
-			}
-		}
-		return l1Intact
-	}
 	// fail handles one failure: roll back to the appropriate checkpoint.
 	fail := func() {
-		if !recoverOp() {
+		if !r.recoverTwoLevel(p) {
 			// Level-2 rollback: the pattern's committed segments are gone.
-			b.Lost += pattWork + pattCkpt
-			b.Work -= pattWork
-			b.Ckpt -= pattCkpt
+			r.b.Lost += pattWork + pattCkpt
+			r.b.Work -= pattWork
+			r.b.Ckpt -= pattCkpt
 			done -= pattWork
 			pattWork, pattCkpt = 0, 0
 			seg = 0
 		}
 	}
 
-	for done < p.W && !t.capped {
+	for done < p.W && !r.capped {
 		// One segment: work chunk + level-1 checkpoint, all-or-nothing
 		// against the latest checkpoint.
 		chunk := math.Min(p.Period, p.W-done)
-		dw, ok := t.run(chunk)
+		dw, ok := r.advance(chunk)
 		if !ok {
-			b.Lost += dw
+			r.b.Lost += dw
 			fail()
 			continue
 		}
-		dc, ok := t.run(p.C1)
+		dc, ok := r.advance(p.C1)
 		if !ok {
-			b.Lost += dw + dc
+			r.b.Lost += dw + dc
 			fail()
 			continue
 		}
-		b.Work += dw
-		b.Ckpt += dc
+		r.b.Work += dw
+		r.b.Ckpt += dc
 		done += dw
 		pattWork += dw
 		pattCkpt += dc
@@ -142,78 +148,43 @@ func SimulateMultiLevelOnce(cfg MultiLevelConfig, source FailureSource, levels *
 		}
 		// Pattern boundary (or end of execution): level-2 checkpoint,
 		// retried from the level-1 state on covered failures.
-		for !t.capped {
-			d2, ok := t.run(p.C2)
+		for !r.capped {
+			d2, ok := r.advance(p.C2)
 			if ok {
-				b.Ckpt += d2
+				r.b.Ckpt += d2
 				pattWork, pattCkpt = 0, 0
 				seg = 0
 				break
 			}
-			b.Lost += d2
+			r.b.Lost += d2
 			fail()
 			if seg == 0 && done < p.W {
 				break // the pattern itself was rolled back; re-run it
 			}
 		}
 	}
+	return runResult(r.now, p.W, r.faults, r.capped, r.b)
+}
 
-	res := RunResult{TFinal: t.now, Faults: t.faults, Truncated: t.capped, Breakdown: b}
-	if t.capped {
-		res.Waste = 1
-	} else if t.now > 0 {
-		res.Waste = 1 - p.W/t.now
-		if res.Waste < 0 {
-			res.Waste = 0
+// recoverTwoLevel completes one downtime+recovery, escalating to level 2
+// when any failure in the chain (the original or one interrupting recovery)
+// is uncovered. It reports whether level-1 state survived.
+func (r *replicaRunner) recoverTwoLevel(p *model.MultiLevelParams) (l1Intact bool) {
+	l1Intact = r.lottery.Float64() < p.Coverage
+	for !r.capped {
+		cost := p.D + p.R1
+		if !l1Intact {
+			cost = p.D + p.R2
+		}
+		done, ok := r.advance(cost)
+		if ok {
+			r.b.Recovery += done
+			return l1Intact
+		}
+		r.b.Lost += done
+		if r.lottery.Float64() >= p.Coverage {
+			l1Intact = false
 		}
 	}
-	return res
-}
-
-// multiLevelRunner is the worker-owned replica engine of SimulateMultiLevel.
-type multiLevelRunner struct {
-	cfg     MultiLevelConfig
-	distrib dist.Distribution
-	arrive  *rng.Source
-	levels  *rng.Source
-}
-
-// run executes replica rep on its dedicated substreams.
-func (r *multiLevelRunner) run(rep int) RunResult {
-	r.arrive.Reseed(rng.At1(r.cfg.Seed, uint64(rep)))
-	r.levels.Reseed(rng.At(r.cfg.Seed, uint64(rep), 1))
-	return SimulateMultiLevelOnce(r.cfg, NewRenewalSource(r.distrib, r.arrive), r.levels)
-}
-
-// SimulateMultiLevel runs cfg.Reps independent two-level executions across
-// a worker pool and aggregates them, bit-identical for any worker count
-// (replica-indexed substreams, repetition-order reduce). The aggregate
-// waste converges to model.EvaluateMultiLevel's first-order prediction when
-// failures are rare relative to the pattern (pinned by
-// TestMultiLevelSimMatchesModel).
-func SimulateMultiLevel(cfg MultiLevelConfig) Aggregate {
-	cfg = cfg.withDefaults()
-	if err := cfg.resolveSchedule().Validate(); err != nil {
-		panic(err)
-	}
-	distrib := cfg.Distribution(cfg.Params.Mu)
-	if distrib == nil {
-		panic("sim: MultiLevelConfig.Distribution returned nil")
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Reps {
-		workers = cfg.Reps
-	}
-	runners := make([]*multiLevelRunner, workers)
-	for w := range runners {
-		runners[w] = &multiLevelRunner{
-			cfg: cfg, distrib: distrib, arrive: rng.New(cfg.Seed), levels: rng.New(cfg.Seed),
-		}
-	}
-	return reduceReplicas(cfg.Reps, workers, func(w, rep int) RunResult {
-		return runners[w].run(rep)
-	})
+	return l1Intact
 }

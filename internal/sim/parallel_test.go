@@ -21,16 +21,16 @@ func TestSimulateWorkerCountInvariance(t *testing.T) {
 	}
 	serial := cfg
 	serial.Workers = 1
-	want := Simulate(serial)
+	want := simulate(serial)
 	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0), 16, 100} {
 		par := cfg
 		par.Workers = workers
-		if got := Simulate(par); got != want {
+		if got := simulate(par); got != want {
 			t.Fatalf("workers=%d: aggregate diverged from serial\n got %+v\nwant %+v", workers, got, want)
 		}
 	}
 	// Workers=0 (the default: GOMAXPROCS) must also match.
-	if got := Simulate(cfg); got != want {
+	if got := simulate(cfg); got != want {
 		t.Fatalf("default workers: aggregate diverged from serial")
 	}
 }
@@ -49,37 +49,18 @@ func TestSimulateWorkerInvarianceWeibull(t *testing.T) {
 	}
 	serial := cfg
 	serial.Workers = 1
-	want := Simulate(serial)
+	want := simulate(serial)
 	par := cfg
 	par.Workers = runtime.GOMAXPROCS(0)
-	if got := Simulate(par); got != want {
+	if got := simulate(par); got != want {
 		t.Fatalf("weibull campaign diverged across worker counts:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// The event-calendar engine parallelizes identically.
-func TestSimulateWorkerInvarianceEventCalendar(t *testing.T) {
-	cfg := Config{
-		Params:           model.Fig7Params(2*model.Hour, 0.5),
-		Protocol:         model.PurePeriodicCkpt,
-		Reps:             32,
-		Seed:             11,
-		UseEventCalendar: true,
-	}
-	serial := cfg
-	serial.Workers = 1
-	want := Simulate(serial)
-	par := cfg
-	par.Workers = runtime.GOMAXPROCS(0)
-	if got := Simulate(par); got != want {
-		t.Fatalf("event-calendar campaign diverged across worker counts")
 	}
 }
 
 // The breakdown summaries must account for the full makespan: the means of
 // the four activity categories sum to the mean makespan.
 func TestAggregateBreakdownSumsToMakespan(t *testing.T) {
-	agg := Simulate(Config{
+	agg := simulate(Config{
 		Params:   model.Fig7Params(2*model.Hour, 0.6),
 		Protocol: model.AbftPeriodicCkpt,
 		Reps:     50,
@@ -102,7 +83,7 @@ func TestSimulatePanicsOnCallerForInvalidParams(t *testing.T) {
 			t.Fatal("expected panic for invalid params")
 		}
 	}()
-	Simulate(Config{Params: model.Params{T0: -1}, Protocol: model.PurePeriodicCkpt, Reps: 8})
+	simulate(Config{Params: model.Params{T0: -1}, Protocol: model.PurePeriodicCkpt, Reps: 8})
 }
 
 // A misconfigured Distribution must likewise panic on the caller's
@@ -113,7 +94,7 @@ func TestSimulatePanicsOnCallerForInvalidDistribution(t *testing.T) {
 			t.Fatal("expected panic for invalid distribution")
 		}
 	}()
-	Simulate(Config{
+	simulate(Config{
 		Params:   model.Fig7Params(2*model.Hour, 0.5),
 		Protocol: model.PurePeriodicCkpt,
 		Reps:     8,
@@ -138,7 +119,7 @@ func TestSimWithinModelConfidenceInterval(t *testing.T) {
 	const modelBias = 0.010
 	for _, proto := range model.Protocols {
 		predicted := model.Evaluate(proto, p, model.Options{}).Waste
-		agg := Simulate(Config{Params: p, Protocol: proto, Reps: 400, Seed: 42})
+		agg := simulate(Config{Params: p, Protocol: proto, Reps: 400, Seed: 42})
 		diff := math.Abs(agg.Waste.Mean - predicted)
 		if tol := agg.Waste.CI95 + modelBias; diff > tol {
 			t.Errorf("%v: |sim %.4f - model %.4f| = %.4f exceeds CI95+bias = %.4f",
@@ -165,10 +146,10 @@ func TestSimulateWorkerInvarianceAcrossBlocks(t *testing.T) {
 	}
 	serial := cfg
 	serial.Workers = 1
-	want := Simulate(serial)
+	want := simulate(serial)
 	par := cfg
 	par.Workers = runtime.GOMAXPROCS(0)
-	if got := Simulate(par); got != want {
+	if got := simulate(par); got != want {
 		t.Fatalf("multi-block campaign diverged across worker counts")
 	}
 	if want.Waste.N != cfg.Reps {
@@ -183,7 +164,7 @@ func TestSimulatePanicsOnCallerForUnknownProtocol(t *testing.T) {
 			t.Fatal("expected panic for unknown protocol")
 		}
 	}()
-	Simulate(Config{
+	simulate(Config{
 		Params:   model.Fig7Params(2*model.Hour, 0.5),
 		Protocol: model.Protocol(99),
 		Reps:     8,

@@ -104,12 +104,12 @@ func expRecover(now, next float64, faults int, cost, negMTBF, horizon float64, s
 // (fits, but crosses the safety horizon: accounted, then the run drains) and
 // "failure-capped" (the interrupting failure itself is beyond the horizon,
 // which run reports as ok with partial progress accounted by the caller).
-func (r *replicaRunner) runExp() RunResult {
+func (r *replicaRunner) runExp(p *periodicFamily) RunResult {
 	src := &r.src
 	negMTBF, horizon := r.negMTBF, r.horizon
-	phases := r.phases
+	phases := p.phases
 	buf := &r.expBuf
-	epochs := r.cfg.Epochs
+	epochs := p.epochs
 	ewma := r.drawEWMA
 
 	var (
@@ -318,7 +318,7 @@ func (r *replicaRunner) runExp() RunResult {
 
 			case phasePeriodic:
 				phCkpt, phRecovery := ph.ckpt, ph.recovery
-				sched := r.chunkSched[pi]
+				sched := ph.chunks
 				for ci := 0; ci < len(sched) && !capped; {
 					chunk := sched[ci]
 					if end := now + chunk + phCkpt; end <= next && end <= horizon {
@@ -422,17 +422,5 @@ func (r *replicaRunner) runExp() RunResult {
 		r.drawEWMA += (consumed - r.drawEWMA) / 4
 	}
 
-	res := RunResult{
-		TFinal: now, Faults: faults, Truncated: capped,
-		Breakdown: Breakdown{Work: work, Ckpt: ck, Lost: lost, Recovery: recov},
-	}
-	if capped {
-		res.Waste = 1
-	} else if now > 0 {
-		res.Waste = 1 - r.useful/now
-		if res.Waste < 0 {
-			res.Waste = 0
-		}
-	}
-	return res
+	return runResult(now, p.useful, faults, capped, Breakdown{Work: work, Ckpt: ck, Lost: lost, Recovery: recov})
 }

@@ -2,30 +2,56 @@ package sim
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
-	"abftckpt/internal/des"
 	"abftckpt/internal/dist"
 	"abftckpt/internal/rng"
+	"abftckpt/internal/stats"
 )
 
-// replicaRunner is the allocation-free replica engine behind Simulate. Each
-// worker owns one and replays its repetitions through it: the rng state, the
-// failure source and the timeline live inline in the struct, the phase
-// sequence and the distribution are computed once per campaign and shared,
-// and the exponential law — the paper's failure model and the overwhelmingly
-// common configuration — is sampled directly instead of through the
+// This file is the replica engine shared by every failure family: one
+// worker-owned runner that holds the failure clock, and one driver that runs
+// a campaign's replicas across a worker pool and reduces them in repetition
+// order. A family (periodic, silent, two-level) supplies only its per-replica
+// step over the clock.
+
+// family is one failure family's per-replica step. A family value is built
+// once per campaign and shared read-only by every worker; step runs replica
+// rep on r, whose clock already points at the replica's failure stream.
+type family interface {
+	step(r *replicaRunner, rep int) RunResult
+}
+
+// clock describes a campaign's failure clock: the law and seed of the
+// per-replica arrival streams, an optional arena replaying them, the safety
+// horizon and the control-variate horizon (0 outside adaptive runs).
+type clock struct {
+	seed      uint64
+	distrib   dist.Distribution
+	tr        *TraceArena
+	horizon   float64
+	cvHorizon float64
+}
+
+// replicaRunner is the allocation-free replica engine. Each worker owns one
+// and replays its repetitions through it: the rng state, the failure clock
+// and the timeline live inline in the struct, the family step and the
+// distribution are computed once per campaign and shared, and the
+// exponential law — the paper's failure model and the overwhelmingly common
+// configuration — is sampled directly instead of through the
 // dist.Distribution interface.
 //
-// run(rep) is bit-identical to SimulateOnce(cfg, NewRenewalSource(...)) on
-// the substream rng.At(Seed, rep): same draws in the same order, same
+// Every family step is bit-identical to its reference walker on the
+// substream rng.At(Seed, rep): same draws in the same order, same
 // floating-point operations in the same association. That equivalence is the
 // load-bearing contract (golden campaign CSVs and cached cells depend on it)
-// and is pinned exactly by TestReplicaRunnerMatchesSimulateOnce.
+// and is pinned exactly by TestReplicaRunnerMatchesSimulateOnce and
+// TestSilentDESEquivalence.
 type replicaRunner struct {
-	cfg    Config
-	phases []phaseSpec
-
-	useful  float64
+	fam     family
+	seed    uint64
 	horizon float64
 
 	// distrib is the shared inter-arrival law; when it is the exponential
@@ -37,16 +63,14 @@ type replicaRunner struct {
 	isExp   bool
 
 	src rng.Source
+	// lottery is a second per-replica stream for steps that draw more than
+	// failure arrivals (the two-level coverage lottery).
+	lottery rng.Source
 
 	// expBuf holds runExp's batched failure arrival times; drawEWMA tracks
 	// the per-replica draw consumption that sizes its adaptive fills.
 	expBuf   [expBatch]float64
 	drawEWMA int
-
-	// chunkSched is the shared periodicChunkSchedules result: runExp
-	// iterates it instead of re-deriving each chunk from a serial
-	// "completed" accumulation on the critical path.
-	chunkSched [][]float64
 
 	// Trace-replay state: when tr is non-nil the runner replays the
 	// materialized arrival prefix arrivals[trPos:trEnd] of the current
@@ -57,7 +81,6 @@ type replicaRunner struct {
 	trPos, trEnd int
 	trRep        int
 	trLive       bool
-	ts           traceSource
 
 	// Timeline state, mirroring the timeline type field for field.
 	now    float64
@@ -71,125 +94,50 @@ type replicaRunner struct {
 	// below it, and runMeasured tops the count up past the run's end so
 	// cvCount is exactly N(cvHorizon) — for the exponential law a Poisson
 	// count with known mean cvHorizon/MTBF. Zero (the default, and always
-	// the case under Simulate/SimulateFromTrace) keeps the branch dead.
+	// the case without a precision block) keeps the branch dead.
 	cvHorizon float64
 	cvCount   int
-
-	// Event-calendar cross-validation path: a reusable engine and renewal
-	// source, reset per replica.
-	eng *des.Engine
-	fs  RenewalSource
 }
 
-// periodicChunkSchedules precomputes, per periodic phase, the exact chunk
-// sequence the simPhase float loop produces (it is failure-independent, so
-// it is identical for every replica). Computed once per campaign and shared
-// by all workers; non-periodic phases get a nil entry.
-func periodicChunkSchedules(phases []phaseSpec) [][]float64 {
-	scheds := make([][]float64, len(phases))
-	for i := range phases {
-		if ph := &phases[i]; ph.kind == phasePeriodic {
-			// Replicate simPhase's chunk loop exactly, floats and all.
-			workPerPeriod := ph.period - ph.ckpt
-			var sched []float64
-			completed := 0.0
-			for completed < ph.work {
-				chunk := workPerPeriod
-				if rem := ph.work - completed; rem < chunk {
-					chunk = rem
-				}
-				sched = append(sched, chunk)
-				completed += chunk
-			}
-			scheds[i] = sched
-		}
-	}
-	return scheds
-}
-
-// newReplicaRunner prepares a worker-local runner. cfg must already have
-// defaults applied; phases, chunkSched, distrib and tr are shared across
-// workers (all are pure or read-only values, and Distribution.Sample must be
-// safe for concurrent use). A nil tr generates failure arrivals on the fly;
-// a non-nil tr replays its materialized streams.
-func newReplicaRunner(cfg Config, phases []phaseSpec, chunkSched [][]float64, distrib dist.Distribution, tr *TraceArena) *replicaRunner {
-	r := &replicaRunner{cfg: cfg, phases: phases, chunkSched: chunkSched, distrib: distrib, tr: tr}
-	r.useful = float64(cfg.Epochs) * cfg.Params.T0
-	r.horizon = cfg.MaxTimeFactor * math.Max(r.useful, 1)
-	if e, ok := distrib.(dist.Exponential); ok {
+// newReplicaRunner prepares a worker-local runner for fam over clock c.
+func newReplicaRunner(fam family, c clock) *replicaRunner {
+	r := &replicaRunner{fam: fam, seed: c.seed, horizon: c.horizon, distrib: c.distrib, tr: c.tr, cvHorizon: c.cvHorizon}
+	if e, ok := c.distrib.(dist.Exponential); ok {
 		r.isExp = true
 		r.negMTBF = -e.Mean()
 	}
-	if cfg.UseEventCalendar {
-		r.eng = des.New()
-		r.eng.EnableEventReuse()
-	}
-	r.ts.r = r
 	return r
 }
 
 // run executes repetition rep on the substream rng.At(Seed, rep).
 func (r *replicaRunner) run(rep int) RunResult {
 	if r.tr == nil {
-		r.src.Reseed(rng.At1(r.cfg.Seed, uint64(rep)))
-		if r.eng != nil {
-			// Event-calendar path: reuse the engine and the renewal source,
-			// let the calendar drive the protocol exactly as SimulateOnceDES
-			// does.
-			r.eng.Reset()
-			r.fs = RenewalSource{dist: r.distrib, src: &r.src}
-			r.fs.next = r.distrib.Sample(&r.src)
-			return simulateOnceDES(r.eng, r.cfg, r.phases, &r.fs)
-		}
-		if r.isExp && r.cvHorizon <= 0 {
-			// Exponential failures take the fully registerized walker. With
-			// the control variate active the scalar walker runs instead —
-			// bit-identical results (both are pinned to SimulateOnce by
-			// TestReplicaRunnerMatchesSimulateOnce) with its arrivals routed
-			// through nextArrival, where the cvHorizon counting lives.
-			return r.runExp()
-		}
+		r.src.Reseed(rng.At1(r.seed, uint64(rep)))
 	} else {
 		// Trace replay: point the cursor at the replica's materialized
 		// prefix; nextArrival reads it (and continues live past its end).
 		r.trRep = rep
 		r.trPos, r.trEnd = r.tr.offsets[rep], r.tr.offsets[rep+1]
 		r.trLive = false
-		if r.eng != nil {
-			r.eng.Reset()
-			// Mirror NewRenewalSource: one draw at construction.
-			r.ts.next = r.nextArrival(0)
-			return simulateOnceDES(r.eng, r.cfg, r.phases, &r.ts)
-		}
 	}
-	// Scalar timeline walker: non-exponential laws, and every trace replay
-	// (replay has no sampling to batch, so the registerized exponential
-	// walker holds no advantage over plain arena loads).
-	r.b = Breakdown{}
-	r.now, r.faults, r.capped = 0, 0, false
-	// First failure: one draw at construction (NewRenewalSource), then the
-	// NextAfter(0) top-up loop of newTimeline.
-	next := r.nextArrival(0)
-	for next <= 0 {
-		next = r.nextArrival(next)
-	}
-	r.next = next
+	return r.fam.step(r, rep)
+}
 
-	for e := 0; e < r.cfg.Epochs && !r.capped; e++ {
-		for i := range r.phases {
-			r.runPhase(&r.phases[i])
+// runMeasured executes repetition rep and additionally returns the
+// control-variate observation: the number of failure arrivals in
+// [0, cvHorizon]. The walk counts every arrival it drew; arrivals beyond the
+// run's end but inside the horizon are drawn here as a top-up — extra draws
+// are harmless, as every repetition reseeds (or re-points the trace cursor)
+// from scratch. With cvHorizon <= 0 this is exactly run.
+func (r *replicaRunner) runMeasured(rep int) (RunResult, float64) {
+	r.cvCount = 0
+	res := r.run(rep)
+	if r.cvHorizon > 0 {
+		for next := r.next; next <= r.cvHorizon; {
+			next = r.nextArrival(next)
 		}
 	}
-	res := RunResult{TFinal: r.now, Faults: r.faults, Truncated: r.capped, Breakdown: r.b}
-	if r.capped {
-		res.Waste = 1
-	} else if r.now > 0 {
-		res.Waste = 1 - r.useful/r.now
-		if res.Waste < 0 {
-			res.Waste = 0
-		}
-	}
-	return res
+	return res, float64(r.cvCount)
 }
 
 // nextArrival returns the failure arrival following next (the running
@@ -226,21 +174,17 @@ func (r *replicaRunner) nextArrival(next float64) float64 {
 	return v
 }
 
-// runMeasured executes repetition rep and additionally returns the
-// control-variate observation: the number of failure arrivals in
-// [0, cvHorizon]. The walk counts every arrival it drew; arrivals beyond the
-// run's end but inside the horizon are drawn here as a top-up — extra draws
-// are harmless, as every repetition reseeds (or re-points the trace cursor)
-// from scratch. With cvHorizon <= 0 this is exactly run.
-func (r *replicaRunner) runMeasured(rep int) (RunResult, float64) {
-	r.cvCount = 0
-	res := r.run(rep)
-	if r.cvHorizon > 0 {
-		for next := r.next; next <= r.cvHorizon; {
-			next = r.nextArrival(next)
-		}
+// startTimeline resets the timeline for a new replica and draws its first
+// failure: one draw at construction (NewRenewalSource), then the
+// NextAfter(0) top-up loop of newTimeline.
+func (r *replicaRunner) startTimeline() {
+	r.b = Breakdown{}
+	r.now, r.faults, r.capped = 0, 0, false
+	next := r.nextArrival(0)
+	for next <= 0 {
+		next = r.nextArrival(next)
 	}
-	return res, float64(r.cvCount)
+	r.next = next
 }
 
 // advance is timeline.run inlined over the runner state: attempt an action
@@ -285,114 +229,175 @@ func (r *replicaRunner) recoverLoop(cost float64) {
 	}
 }
 
-// runPhase is simPhase specialized to the runner, with a fast path per phase
-// kind for the dominant case — the whole step completes before the next
-// failure and below the safety horizon — which skips the advance call and
-// its bookkeeping entirely. Every float is accumulated in the same order and
-// association as simPhase, so results are bit-identical.
-func (r *replicaRunner) runPhase(ph *phaseSpec) {
-	switch ph.kind {
-	case phaseABFT:
-		remaining := ph.work
-		for remaining > 0 && !r.capped {
-			if end := r.now + remaining; end <= r.next && end <= r.horizon {
-				r.now = end
-				r.b.Work += remaining
-				remaining = 0
-				break
-			}
-			done, ok := r.advance(remaining)
-			// ABFT retains progress: completed work counts even when a
-			// failure interrupted the attempt.
-			r.b.Work += done
-			remaining -= done
-			if !ok {
-				r.recoverLoop(ph.recovery)
-			}
-		}
-		// Exit checkpoint of the LIBRARY dataset; a failure during it is
-		// repaired by ABFT reconstruction and the checkpoint restarts.
-		for !r.capped {
-			if end := r.now + ph.ckpt; end <= r.next && end <= r.horizon {
-				r.now = end
-				r.b.Ckpt += ph.ckpt
-				return
-			}
-			done, ok := r.advance(ph.ckpt)
-			if ok {
-				r.b.Ckpt += done
-				return
-			}
-			r.b.Lost += done
-			r.recoverLoop(ph.recovery)
-		}
+// reduction accumulates replica results in repetition order.
+type reduction struct {
+	waste, faults, tfinal, work, ckpt, lost, recovery stats.Accumulator
+	truncated                                         int
+	// seq is the sequential stopping rule of an adaptive run (nil
+	// otherwise).
+	seq *stats.Sequential
+}
 
-	case phaseShort:
-		// All-or-nothing: a failure loses all progress since phase start,
-		// including the trailing checkpoint if it had begun.
-		for !r.capped {
-			if end := r.now + ph.work + ph.trailing; end <= r.next && end <= r.horizon {
-				r.now = end
-				r.b.Work += ph.work
-				r.b.Ckpt += ph.trailing
-				return
+func (a *reduction) add(r RunResult, cv float64) {
+	if a.seq != nil {
+		a.seq.AddControlled(r.Waste, cv)
+	}
+	a.waste.Add(r.Waste)
+	a.faults.Add(float64(r.Faults))
+	a.tfinal.Add(r.TFinal)
+	a.work.Add(r.Breakdown.Work)
+	a.ckpt.Add(r.Breakdown.Ckpt)
+	a.lost.Add(r.Breakdown.Lost)
+	a.recovery.Add(r.Breakdown.Recovery)
+	if r.Truncated {
+		a.truncated++
+	}
+}
+
+func (a *reduction) aggregate() Aggregate {
+	return Aggregate{
+		Waste:     a.waste.Summarize(),
+		Faults:    a.faults.Summarize(),
+		TFinal:    a.tfinal.Summarize(),
+		Work:      a.work.Summarize(),
+		Ckpt:      a.ckpt.Summarize(),
+		Lost:      a.lost.Summarize(),
+		Recovery:  a.recovery.Summarize(),
+		Runs:      a.waste.N(),
+		Truncated: a.truncated,
+	}
+}
+
+// blockSize bounds the parallel driver's result buffer: replicas run in
+// blocks of at most this many, each reduced before the next starts, so
+// memory stays O(blockSize) for arbitrarily large campaigns.
+const blockSize = 4096
+
+// drive runs up to reps replicas of fam over clock c across a worker pool
+// and reduces them in repetition order. Each repetition draws from the
+// substream rng.At(Seed, rep) — addressed by repetition index, not by
+// worker — and floating-point accumulation is order-dependent, so the
+// ordered reduce keeps the aggregate bit-identical for any worker count and
+// any scheduling.
+//
+// With prec nil every replica runs in one pass. With a precision block the
+// replicas run in doubling batches with a sequential look after each, until
+// the waste CI meets the target or reps is exhausted; a run to the cap
+// reduces exactly the replicas, in exactly the order, of a fixed run.
+func drive(fam family, c clock, reps, workers int, prec *Precision) AdaptiveAggregate {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, reps)
+	runners := make([]*replicaRunner, workers)
+	for w := range runners {
+		runners[w] = newReplicaRunner(fam, c)
+	}
+	var acc reduction
+	var replicas []float64 // every replica's waste, when the precision block keeps them
+	reduce := func(r RunResult, cv float64) {
+		acc.add(r, cv)
+		if replicas != nil {
+			replicas = append(replicas, r.Waste)
+		}
+	}
+	var results []RunResult
+	var cvs []float64
+	// runRange runs replicas [base, base+count) and reduces them in order.
+	runRange := func(base, count int) {
+		if workers == 1 {
+			// Serial campaigns reduce on the fly: replicas already complete
+			// in repetition order, no block buffer needed.
+			for i := 0; i < count; i++ {
+				reduce(runners[0].runMeasured(base + i))
 			}
-			done, ok := r.advance(ph.work)
-			if !ok {
-				r.b.Lost += done
-				r.recoverLoop(ph.recovery)
-				continue
-			}
-			var cd float64
-			if ph.trailing > 0 {
-				var ckptOK bool
-				cd, ckptOK = r.advance(ph.trailing)
-				if !ckptOK {
-					r.b.Lost += done + cd
-					r.recoverLoop(ph.recovery)
-					continue
-				}
-			}
-			r.b.Work += done
-			r.b.Ckpt += cd
 			return
 		}
-
-	case phasePeriodic:
-		workPerPeriod := ph.period - ph.ckpt
-		completed := 0.0
-		for completed < ph.work && !r.capped {
-			chunk := workPerPeriod
-			if rem := ph.work - completed; rem < chunk {
-				chunk = rem
-			}
-			if end := r.now + chunk + ph.ckpt; end <= r.next && end <= r.horizon {
-				r.now = end
-				r.b.Work += chunk
-				r.b.Ckpt += ph.ckpt
-				completed += chunk
-				continue
-			}
-			// Attempt chunk + checkpoint; on failure, roll back to the
-			// last completed checkpoint and retry the chunk.
-			done, ok := r.advance(chunk)
-			if !ok {
-				r.b.Lost += done
-				r.recoverLoop(ph.recovery)
-				continue
-			}
-			cd, ckptOK := r.advance(ph.ckpt)
-			if !ckptOK {
-				r.b.Lost += done + cd
-				r.recoverLoop(ph.recovery)
-				continue
-			}
-			r.b.Work += done
-			r.b.Ckpt += cd
-			completed += chunk
+		if n := min(count, blockSize); len(results) < n {
+			results, cvs = make([]RunResult, n), make([]float64, n)
 		}
-
-	default:
-		panic("sim: unknown phase kind")
+		res, cv := results, cvs
+		for blk := 0; blk < count; blk += len(res) {
+			n := min(len(res), count-blk)
+			start := base + blk
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			wg.Add(workers)
+			for _, rr := range runners {
+				go func() {
+					defer wg.Done()
+					for {
+						i := int(next.Add(1)) - 1
+						if i >= n {
+							return
+						}
+						res[i], cv[i] = rr.runMeasured(start + i)
+					}
+				}()
+			}
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				reduce(res[i], cv[i])
+			}
+		}
 	}
+
+	if prec == nil {
+		runRange(0, reps)
+		agg := acc.aggregate()
+		return AdaptiveAggregate{
+			Aggregate: agg, RepsCap: reps,
+			WasteEstimate: agg.Waste.Mean, WasteHalfWidth: agg.Waste.CI95, CVVarianceRatio: 1,
+		}
+	}
+	p := prec.withDefaults()
+	acc.seq = stats.NewSequential(stats.SequentialOpts{
+		Alpha:       1 - p.Confidence,
+		RelTarget:   p.RelTarget,
+		AbsTarget:   p.AbsTarget,
+		UseControl:  c.cvHorizon > 0,
+		ControlMean: c.cvHorizon / c.distrib.Mean(),
+	})
+	if p.KeepReplicas {
+		replicas = make([]float64, 0, p.Batch)
+	}
+	n, batch, stopped := 0, p.Batch, false
+	for n < reps {
+		m := min(batch, reps-n)
+		runRange(n, m)
+		n += m
+		if _, stop := acc.seq.Look(); stop {
+			stopped = true
+			break
+		}
+		batch *= 2
+	}
+	last := acc.seq.LastInterval()
+	return AdaptiveAggregate{
+		Aggregate:       acc.aggregate(),
+		RepsCap:         reps,
+		Looks:           acc.seq.Looks(),
+		Stopped:         stopped,
+		WasteEstimate:   last.Mean,
+		WasteHalfWidth:  last.Half,
+		CVActive:        c.cvHorizon > 0,
+		CVBeta:          acc.seq.Beta(),
+		CVVarianceRatio: acc.seq.VarianceRatio(),
+		Replicas:        replicas,
+	}
+}
+
+// runResult assembles a replica's RunResult: waste is 1 for a run truncated
+// at the safety horizon and 1 - useful/tfinal, floored at 0, otherwise.
+func runResult(tfinal, useful float64, faults int, capped bool, b Breakdown) RunResult {
+	res := RunResult{TFinal: tfinal, Faults: faults, Truncated: capped, Breakdown: b}
+	if capped {
+		res.Waste = 1
+	} else if tfinal > 0 {
+		res.Waste = 1 - useful/tfinal
+		if res.Waste < 0 {
+			res.Waste = 0
+		}
+	}
+	return res
 }

@@ -2,15 +2,10 @@ package sim
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"abftckpt/internal/des"
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
-	"abftckpt/internal/rng"
-	"abftckpt/internal/stats"
 )
 
 // SilentConfig describes a silent-error (SDC) simulation campaign. The
@@ -39,11 +34,6 @@ type SilentConfig struct {
 	// MaxTimeFactor caps a run at MaxTimeFactor*W; default
 	// DefaultMaxTimeFactor.
 	MaxTimeFactor float64
-	// UseEventCalendar drives each replica through the internal/des
-	// event-calendar path (silentOnceDES) instead of the pattern walker.
-	// Both are bit-identical (TestSilentDESEquivalence); the knob exists
-	// for cross-validation.
-	UseEventCalendar bool
 }
 
 func (c SilentConfig) withDefaults() SilentConfig {
@@ -59,44 +49,6 @@ func (c SilentConfig) withDefaults() SilentConfig {
 	return c
 }
 
-// errorClock generates silent-error arrivals on the work clock: errors
-// accrue only while (unprotected) work executes, so the clock advances by
-// exactly the executed work duration. The same clock drives the walker and
-// the DES path, which keeps their draws — and therefore their runs —
-// bit-identical.
-type errorClock struct {
-	d        dist.Distribution
-	src      *rng.Source
-	consumed float64 // work-clock time already executed
-	next     float64 // work-clock time of the next error
-}
-
-func newErrorClock(d dist.Distribution, src *rng.Source) *errorClock {
-	return &errorClock{d: d, src: src, next: d.Sample(src)}
-}
-
-// reset rewinds the clock for a new replica drawing from a fresh stream.
-func (e *errorClock) reset() {
-	e.consumed = 0
-	e.next = e.d.Sample(e.src)
-}
-
-// advance executes t seconds of unprotected work and reports how many
-// errors struck it and the work-clock offset of the first one within this
-// span (meaningless when count is 0).
-func (e *errorClock) advance(t float64) (count int, first float64) {
-	end := e.consumed + t
-	for e.next <= end {
-		if count == 0 {
-			first = e.next - e.consumed
-		}
-		count++
-		e.next += e.d.Sample(e.src)
-	}
-	e.consumed = end
-	return count, first
-}
-
 // silentPeriod resolves the work per verified pattern of a config.
 func silentPeriod(cfg SilentConfig) float64 {
 	period := cfg.Params.Period
@@ -106,27 +58,72 @@ func silentPeriod(cfg SilentConfig) float64 {
 	return math.Min(period, cfg.Params.W)
 }
 
-// SimulateSilentOnce executes one run against one error stream. The
-// returned RunResult counts verification time as Ckpt (protection
+// SimulateSilent runs cfg.Reps independent silent-error executions on the
+// replica engine, with the same determinism contract as Simulate: replica i
+// draws from rng.At(Seed, i) and the reduce is performed in repetition
+// order, so the aggregate is bit-identical for any worker count. Under
+// exponential errors the aggregate waste converges to model.EvaluateSilent's
+// prediction (pinned within CI95 by TestSilentSimMatchesModel).
+//
+// Each replica's RunResult counts verification time as Ckpt (protection
 // overhead), detection/rollback/correction as Recovery, and discarded or
 // re-executed work as Lost; Faults is the number of verifications that
 // flagged an error.
-func SimulateSilentOnce(cfg SilentConfig, clock *errorClock) RunResult {
+func SimulateSilent(cfg SilentConfig) Aggregate {
 	cfg = cfg.withDefaults()
+	fam, c := cfg.engine()
+	return drive(fam, c, cfg.Reps, cfg.Workers, nil).Aggregate
+}
+
+// engine validates a defaulted config and resolves its silent step and
+// failure clock.
+func (cfg SilentConfig) engine() (*silentFamily, clock) {
 	if err := cfg.Params.Validate(); err != nil {
 		panic(err)
 	}
-	period := silentPeriod(cfg)
-	horizon := cfg.MaxTimeFactor * math.Max(cfg.Params.W, 1)
-	p := cfg.Params
+	return &silentFamily{p: cfg.Params, forward: cfg.Mode == model.SilentForward, period: silentPeriod(cfg)},
+		clock{
+			seed:    cfg.Seed,
+			distrib: newDistribution(cfg.Distribution, cfg.Params.MuSilent),
+			horizon: cfg.MaxTimeFactor * math.Max(cfg.Params.W, 1),
+		}
+}
+
+// silentFamily is the silent-error family's campaign-wide step: verified
+// patterns over the runner's failure clock, which here runs on the work
+// clock — errors accrue only while (unprotected) work executes, so the
+// clock advances by exactly the executed work duration and the wall clock
+// is kept separately.
+type silentFamily struct {
+	p       model.SilentParams
+	forward bool
+	period  float64
+}
+
+func (f *silentFamily) step(r *replicaRunner, _ int) RunResult {
+	p := &f.p
 	var b Breakdown
 	wall, done, detections := 0.0, 0.0, 0
+	// consumed is the work-clock time already executed, next the work-clock
+	// time of the next error.
+	consumed, next := 0.0, r.nextArrival(0)
 
 patterns:
 	for done < p.W {
-		t := math.Min(period, p.W-done)
+		t := math.Min(f.period, p.W-done)
 		for { // verification attempts of this pattern
-			count, first := clock.advance(t)
+			// Execute t seconds of work: count the errors that struck it and
+			// the offset of the first one within this span.
+			end := consumed + t
+			count, first := 0, 0.0
+			for next <= end {
+				if count == 0 {
+					first = next - consumed
+				}
+				count++
+				next = r.nextArrival(next)
+			}
+			consumed = end
 			// Two separate adds, mirroring the DES path's work and verify
 			// completion events, so both paths stay bit-identical.
 			wall += t
@@ -137,7 +134,7 @@ patterns:
 				break
 			}
 			detections++
-			if cfg.Mode == model.SilentForward {
+			if f.forward {
 				// Correct in place and re-execute the tainted suffix under
 				// protection; the pattern is then verified clean.
 				taint := t - first
@@ -152,45 +149,52 @@ patterns:
 			wall += p.Detect + p.R
 			b.Lost += t + p.V
 			b.Recovery += p.Detect + p.R
-			if wall > horizon {
+			if wall > r.horizon {
 				break patterns
 			}
 		}
 		wall += p.C
 		b.Ckpt += p.C
 		done += t
-		if wall > horizon {
+		if wall > r.horizon {
 			break
 		}
 	}
-
-	capped := done < p.W
-	res := RunResult{TFinal: wall, Faults: detections, Truncated: capped, Breakdown: b}
-	if capped {
-		res.Waste = 1
-	} else if wall > 0 {
-		res.Waste = 1 - p.W/wall
-		if res.Waste < 0 {
-			res.Waste = 0
-		}
-	}
-	return res
+	return runResult(wall, p.W, detections, done < p.W, b)
 }
 
-// silentOnceDES executes one run with the same semantics as
-// SimulateSilentOnce, but driven by an explicit event calendar: each work
-// chunk, verification, recovery and checkpoint is a scheduled completion
-// event, and verification events consult the error clock for the work they
-// cover. Independent codepath kept exactly equivalent (see
+// silentOnceDES is the reference walker of the silent family: one run with
+// the same semantics as the engine's silent step, but driven by an explicit
+// event calendar — each work chunk, verification, recovery and checkpoint is
+// a scheduled completion event, and verification events consult the error
+// process for the work they cover. errors is a failure process on the work
+// clock. Independent codepath kept exactly equivalent (see
 // TestSilentDESEquivalence), cross-validating both.
-func silentOnceDES(eng *des.Engine, cfg SilentConfig, clock *errorClock) RunResult {
+func silentOnceDES(cfg SilentConfig, errors FailureSource) RunResult {
+	cfg = cfg.withDefaults()
 	period := silentPeriod(cfg)
 	horizon := cfg.MaxTimeFactor * math.Max(cfg.Params.W, 1)
 	p := cfg.Params
+	eng := des.New()
 	var b Breakdown
 	detections := 0
 	capped := false
 
+	// advance executes t seconds of unprotected work on the work clock and
+	// reports how many errors struck it and the offset of the first one
+	// within this span (meaningless when count is 0).
+	consumed := 0.0
+	advance := func(t float64) (count int, first float64) {
+		end := consumed + t
+		for e := errors.NextAfter(consumed); e <= end; e = errors.NextAfter(e) {
+			if count == 0 {
+				first = e - consumed
+			}
+			count++
+		}
+		consumed = end
+		return count, first
+	}
 	after := func(d float64, fn func()) {
 		eng.Schedule(eng.Now()+d, fn)
 	}
@@ -208,9 +212,9 @@ func silentOnceDES(eng *des.Engine, cfg SilentConfig, clock *errorClock) RunResu
 	attempt = func(t, done float64) {
 		// Work-completion event: silent errors never preempt execution, so
 		// the chunk always runs to completion; the subsequent verification
-		// event inspects the error clock over exactly that chunk.
+		// event inspects the error process over exactly that chunk.
 		after(t, func() {
-			count, first := clock.advance(t)
+			count, first := advance(t)
 			after(p.V, func() {
 				if count == 0 {
 					b.Work += t
@@ -258,139 +262,5 @@ func silentOnceDES(eng *des.Engine, cfg SilentConfig, clock *errorClock) RunResu
 	}
 	eng.Schedule(0, func() { pattern(0) })
 	eng.Run(math.Inf(1))
-
-	res := RunResult{TFinal: eng.Now(), Faults: detections, Truncated: capped, Breakdown: b}
-	if capped {
-		res.Waste = 1
-	} else if res.TFinal > 0 {
-		res.Waste = 1 - p.W/res.TFinal
-		if res.Waste < 0 {
-			res.Waste = 0
-		}
-	}
-	return res
-}
-
-// silentRunner is a worker-owned replica engine for silent-error campaigns:
-// the rng source, error clock and DES engine are allocated once per worker
-// and reseeded per replica, mirroring the replicaRunner architecture of the
-// fail-stop path.
-type silentRunner struct {
-	cfg   SilentConfig
-	clock *errorClock
-	eng   *des.Engine
-}
-
-func newSilentRunner(cfg SilentConfig, d dist.Distribution) *silentRunner {
-	r := &silentRunner{cfg: cfg, clock: newErrorClock(d, rng.New(cfg.Seed))}
-	if cfg.UseEventCalendar {
-		r.eng = des.New()
-		r.eng.EnableEventReuse()
-	}
-	return r
-}
-
-// run executes replica rep on its dedicated substream.
-func (r *silentRunner) run(rep int) RunResult {
-	r.clock.src.Reseed(rng.At1(r.cfg.Seed, uint64(rep)))
-	r.clock.reset()
-	if r.eng != nil {
-		r.eng.Reset()
-		return silentOnceDES(r.eng, r.cfg, r.clock)
-	}
-	return SimulateSilentOnce(r.cfg, r.clock)
-}
-
-// SimulateSilent runs cfg.Reps independent silent-error executions across a
-// worker pool and aggregates them, with the same determinism contract as
-// Simulate: replica i draws from rng.At(Seed, i) and the reduce is
-// performed in repetition order, so the aggregate is bit-identical for any
-// worker count. Under exponential errors the aggregate waste converges to
-// model.EvaluateSilent's prediction (pinned within CI95 by
-// TestSilentSimMatchesModel).
-func SimulateSilent(cfg SilentConfig) Aggregate {
-	cfg = cfg.withDefaults()
-	if err := cfg.Params.Validate(); err != nil {
-		panic(err)
-	}
-	distrib := cfg.Distribution(cfg.Params.MuSilent)
-	if distrib == nil {
-		panic("sim: SilentConfig.Distribution returned nil")
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Reps {
-		workers = cfg.Reps
-	}
-	runners := make([]*silentRunner, workers)
-	for w := range runners {
-		runners[w] = newSilentRunner(cfg, distrib)
-	}
-	return reduceReplicas(cfg.Reps, workers, func(w, rep int) RunResult {
-		return runners[w].run(rep)
-	})
-}
-
-// reduceReplicas runs reps replicas over workers worker slots and reduces
-// the results into an Aggregate in repetition order (the shared tail of
-// SimulateSilent and SimulateMultiLevel). run must route replica rep
-// through worker w's private state.
-func reduceReplicas(reps, workers int, run func(w, rep int) RunResult) Aggregate {
-	var waste, faults, tfinal, work, ckpt, lost, recovery stats.Accumulator
-	truncated := 0
-	reduce := func(r RunResult) {
-		waste.Add(r.Waste)
-		faults.Add(float64(r.Faults))
-		tfinal.Add(r.TFinal)
-		work.Add(r.Breakdown.Work)
-		ckpt.Add(r.Breakdown.Ckpt)
-		lost.Add(r.Breakdown.Lost)
-		recovery.Add(r.Breakdown.Recovery)
-		if r.Truncated {
-			truncated++
-		}
-	}
-	if workers <= 1 {
-		for i := 0; i < reps; i++ {
-			reduce(run(0, i))
-		}
-	} else {
-		const blockSize = 4096
-		results := make([]RunResult, min(reps, blockSize))
-		for base := 0; base < reps; base += len(results) {
-			n := min(len(results), reps-base)
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= n {
-							return
-						}
-						results[i] = run(w, base+i)
-					}
-				}(w)
-			}
-			wg.Wait()
-			for _, r := range results[:n] {
-				reduce(r)
-			}
-		}
-	}
-	return Aggregate{
-		Waste:     waste.Summarize(),
-		Faults:    faults.Summarize(),
-		TFinal:    tfinal.Summarize(),
-		Work:      work.Summarize(),
-		Ckpt:      ckpt.Summarize(),
-		Lost:      lost.Summarize(),
-		Recovery:  recovery.Summarize(),
-		Runs:      reps,
-		Truncated: truncated,
-	}
+	return runResult(eng.Now(), p.W, detections, capped, b)
 }

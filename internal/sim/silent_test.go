@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"abftckpt/internal/des"
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
 	"abftckpt/internal/rng"
@@ -54,10 +53,10 @@ func TestSilentSimMatchesModel(t *testing.T) {
 	}
 }
 
-// TestSilentRunnerMatchesDES pins the worker-owned pattern walker to the
+// TestSilentDESEquivalence pins the engine's silent step to the
 // event-calendar reference walker replica by replica, bit for bit, for both
 // recovery modes, both laws and a horizon that truncates replicas.
-func TestSilentRunnerMatchesDES(t *testing.T) {
+func TestSilentDESEquivalence(t *testing.T) {
 	weibull := func(mu float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mu) }
 	var cfgs []SilentConfig
 	for _, mode := range model.SilentRecoveries {
@@ -72,12 +71,12 @@ func TestSilentRunnerMatchesDES(t *testing.T) {
 	cfgs = append(cfgs, tight)
 	for ci, cfg := range cfgs {
 		cfg = cfg.withDefaults()
-		distrib := cfg.Distribution(cfg.Params.MuSilent)
-		r := newSilentRunner(cfg, distrib)
+		r := newReplicaRunner(cfg.engine())
 		truncated := 0
 		for rep := 0; rep < 48; rep++ {
 			got := r.run(rep)
-			want := silentOnceDES(des.New(), cfg, newErrorClock(distrib, rng.New(rng.At(cfg.Seed, uint64(rep)))))
+			errors := NewRenewalSource(cfg.Distribution(cfg.Params.MuSilent), rng.New(rng.At(cfg.Seed, uint64(rep))))
+			want := silentOnceDES(cfg, errors)
 			if got != want {
 				t.Fatalf("config %d rep %d diverged:\n got %+v\nwant %+v", ci, rep, got, want)
 			}

@@ -9,14 +9,18 @@
 // an interval on that timeline, and an action interrupted by a failure
 // triggers the protocol-specific reaction (rollback and re-execution for
 // checkpoint/rollback phases, checksum reconstruction for ABFT phases).
+//
+// Three failure families run on one replica engine (runner.go): the paper's
+// protocols including the ABFT&PeriodicCkpt composite (Simulate), silent
+// errors under verified patterns (SimulateSilent) and two-level
+// checkpointing (SimulateMultiLevel). A family supplies only its per-replica
+// step over the engine's failure clock; the engine owns the worker pool, the
+// repetition-order reduce, trace-arena replay and sequential stopping.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/model"
@@ -116,11 +120,6 @@ type Config struct {
 	// MaxTimeFactor caps a run at MaxTimeFactor*(Epochs*T0) to keep
 	// infeasible scenarios finite; default DefaultMaxTimeFactor.
 	MaxTimeFactor float64
-	// UseEventCalendar selects the internal/des event-calendar simulator
-	// (SimulateOnceDES) instead of the timeline walker. Both implement
-	// identical semantics (enforced by TestDESEquivalenceExact); this knob
-	// exists for cross-validation and benchmarking.
-	UseEventCalendar bool
 }
 
 // DefaultMaxTimeFactor is the Config.MaxTimeFactor default: the horizon
@@ -214,6 +213,12 @@ type phaseSpec struct {
 	ckpt     float64 // periodic/exit checkpoint cost
 	trailing float64 // trailing checkpoint cost (short phases)
 	recovery float64 // downtime + reload (+ reconstruction for ABFT)
+	// chunks is the exact chunk sequence simPhase's float loop produces for
+	// a periodic phase (it is failure-independent, so identical for every
+	// replica). The engine fills it once per campaign and runExp iterates
+	// it instead of re-deriving each chunk from a serial "completed"
+	// accumulation on the critical path; the reference walkers leave it nil.
+	chunks []float64
 }
 
 // simPhase executes one phase on the timeline.
@@ -361,6 +366,8 @@ func epochPhases(proto model.Protocol, p model.Params, safeguard bool) []phaseSp
 }
 
 // SimulateOnce executes one full application run against one failure trace.
+// It is the reference walker the campaign engine's periodic step is pinned
+// to (TestReplicaRunnerMatchesSimulateOnce).
 func SimulateOnce(cfg Config, source FailureSource) RunResult {
 	cfg = cfg.withDefaults()
 	if err := cfg.Params.Validate(); err != nil {
@@ -375,16 +382,7 @@ func SimulateOnce(cfg Config, source FailureSource) RunResult {
 			simPhase(t, ph, &b)
 		}
 	}
-	res := RunResult{TFinal: t.now, Faults: t.faults, Truncated: t.capped, Breakdown: b}
-	if t.capped {
-		res.Waste = 1
-	} else if t.now > 0 {
-		res.Waste = 1 - useful/t.now
-		if res.Waste < 0 {
-			res.Waste = 0
-		}
-	}
-	return res
+	return runResult(t.now, useful, t.faults, t.capped, b)
 }
 
 // Aggregate summarizes a simulation campaign. Every Summary carries the
@@ -405,112 +403,265 @@ type Aggregate struct {
 	Truncated int
 }
 
-// Simulate runs cfg.Reps independent executions across a worker pool and
-// aggregates them. Each repetition draws its failure trace from the substream
-// rng.At(Seed, rep) — addressed by repetition index, not by worker — and the
-// per-run results are reduced sequentially in repetition order, so the
-// aggregate is reproducible bit-for-bit regardless of cfg.Workers and of
-// scheduling order.
+// Options are the two execution choices of a periodic campaign.
+type Options struct {
+	// Arena, when non-nil, replays failure arrivals from a prebuilt
+	// TraceArena instead of drawing them. Per-replica results are
+	// bit-identical to drawing live (pinned by
+	// TestSimulateFromTraceMatchesSimulate), while the arena's RNG and
+	// math.Log work is shared across every campaign replaying it. Replicas
+	// that outrun their materialized prefix continue drawing live from the
+	// arena's saved generator states, so correctness never depends on the
+	// arena's horizon.
+	//
+	// The arena must hold at least cfg.Reps replica streams for cfg.Seed,
+	// drawn from the same distribution as cfg (seed, repetition count and
+	// the distribution mean are checked; the caller is responsible for
+	// matching the distribution family and shape, which the per-cell
+	// process keys of internal/scenario guarantee). Cohort scheduling sizes
+	// arenas by the repetition cap, so any cell of a cohort, adaptive or
+	// fixed, can replay them.
+	Arena *TraceArena
+	// Precision, when set (non-zero), turns cfg.Reps into a cap: replicas
+	// run in doubling batches until the waste CI half-width meets the target
+	// (see Precision). With an unreachable target every replica runs and the
+	// embedded Aggregate is bit-identical to a run without a precision
+	// block (pinned by TestSimulateAdaptiveAtCapMatchesSimulate).
+	Precision Precision
+}
+
+// adaptive reports whether the options carry a precision block.
+func (o Options) adaptive() bool { return o.Precision != Precision{} }
+
+// Simulate runs up to cfg.Reps independent executions across a worker pool
+// and aggregates them. Each repetition draws its failure trace from the
+// substream rng.At(Seed, rep) — addressed by repetition index, not by
+// worker — and the per-run results are reduced sequentially in repetition
+// order, so the aggregate is reproducible bit-for-bit regardless of
+// cfg.Workers and of scheduling order.
 //
 // Each worker drives a preallocated replicaRunner, so the steady state of a
 // campaign performs no per-replica allocations (pinned by
 // TestReplicaRunnerAllocFree) and no dynamic dispatch for exponential
 // failures, while remaining bit-identical to the reference SimulateOnce
 // walker (pinned by TestReplicaRunnerMatchesSimulateOnce).
-func Simulate(cfg Config) Aggregate {
+//
+// Without a precision block the adaptive fields of the result describe the
+// fixed run: RepsCap is cfg.Reps, WasteEstimate and WasteHalfWidth are the
+// plain mean and CI95, and CVVarianceRatio is 1.
+func Simulate(cfg Config, o Options) AdaptiveAggregate {
 	cfg = cfg.withDefaults()
+	fam, c := cfg.engine(o)
+	var prec *Precision
+	if o.adaptive() {
+		prec = &o.Precision
+	}
+	return drive(fam, c, cfg.Reps, cfg.Workers, prec)
+}
+
+// engine validates a defaulted config and resolves its periodic step and
+// failure clock. The distribution and the phases are pure values shared by
+// every worker, and a misconfigured distribution (e.g. non-positive shape)
+// or an unknown protocol panics here on the caller's goroutine, where it is
+// recoverable, instead of inside a worker.
+func (cfg Config) engine(o Options) (*periodicFamily, clock) {
 	if err := cfg.Params.Validate(); err != nil {
 		panic(err)
 	}
-	// Resolve the distribution once up front: it is a pure value shared by
-	// every worker, and a misconfigured distribution (e.g. non-positive
-	// shape) or an unknown protocol panics here on the caller's goroutine,
-	// where it is recoverable, instead of inside a worker.
-	distrib := cfg.Distribution(cfg.Params.Mu)
-	if distrib == nil {
-		panic("sim: Config.Distribution returned nil")
+	if o.adaptive() {
+		if err := o.Precision.Validate(); err != nil {
+			panic(err)
+		}
 	}
-	return simulateAggregate(cfg, distrib, nil)
+	distrib := newDistribution(cfg.Distribution, cfg.Params.Mu)
+	if tr := o.Arena; tr != nil {
+		switch {
+		case tr.seed != cfg.Seed:
+			panic(fmt.Sprintf("sim: trace arena seed %d does not match Config.Seed %d", tr.seed, cfg.Seed))
+		case tr.Reps() < cfg.Reps:
+			panic(fmt.Sprintf("sim: trace arena holds %d replica streams, campaign needs %d", tr.Reps(), cfg.Reps))
+		case distrib.Mean() != tr.mean:
+			panic(fmt.Sprintf("sim: trace arena mean %v does not match distribution mean %v", tr.mean, distrib.Mean()))
+		}
+	}
+	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
+	for i := range phases {
+		if ph := &phases[i]; ph.kind == phasePeriodic {
+			ph.chunks = chunkSchedule(ph)
+		}
+	}
+	fam := &periodicFamily{phases: phases, epochs: cfg.Epochs, useful: float64(cfg.Epochs) * cfg.Params.T0}
+	c := clock{seed: cfg.Seed, distrib: distrib, tr: o.Arena, horizon: cfg.MaxTimeFactor * math.Max(fam.useful, 1)}
+	if o.adaptive() {
+		c.cvHorizon = cvHorizonFor(distrib, o.Precision, c.horizon)
+	}
+	return fam, c
 }
 
-// simulateAggregate is the shared body of Simulate and SimulateFromTrace:
-// cfg must already have defaults applied and distrib be resolved; a non-nil
-// tr switches the runners to trace replay.
-func simulateAggregate(cfg Config, distrib dist.Distribution, tr *TraceArena) Aggregate {
-	phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-	chunkSched := periodicChunkSchedules(phases)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// newDistribution resolves a campaign's failure law from its constructor,
+// panicking on a nil law.
+func newDistribution(ctor func(mean float64) dist.Distribution, mean float64) dist.Distribution {
+	d := ctor(mean)
+	if d == nil {
+		panic("sim: Distribution constructor returned nil")
 	}
-	if workers > cfg.Reps {
-		workers = cfg.Reps
+	return d
+}
+
+// periodicFamily is the periodic family's campaign-wide step: the epoch's
+// phase sequence of the paper's three protocols (pure periodic, bi-periodic
+// and ABFT&PeriodicCkpt) walked over the runner's timeline.
+type periodicFamily struct {
+	phases []phaseSpec
+	epochs int
+	useful float64
+}
+
+// step runs one replica: exponential failures drawn live take the fully
+// registerized runExp walker. Every other law, every trace replay (replay
+// has no sampling to batch, so the registerized walker holds no advantage
+// over plain arena loads) and every control-variate run (its arrivals must
+// pass through nextArrival, where the counting lives) take the scalar
+// timeline walker. Both are pinned to SimulateOnce by
+// TestReplicaRunnerMatchesSimulateOnce.
+func (p *periodicFamily) step(r *replicaRunner, _ int) RunResult {
+	if r.isExp && r.tr == nil && r.cvHorizon <= 0 {
+		return r.runExp(p)
 	}
-	runners := make([]*replicaRunner, workers)
-	for w := range runners {
-		runners[w] = newReplicaRunner(cfg, phases, chunkSched, distrib, tr)
-	}
-	var waste, faults, tfinal, work, ckpt, lost, recovery stats.Accumulator
-	truncated := 0
-	reduce := func(r RunResult) {
-		waste.Add(r.Waste)
-		faults.Add(float64(r.Faults))
-		tfinal.Add(r.TFinal)
-		work.Add(r.Breakdown.Work)
-		ckpt.Add(r.Breakdown.Ckpt)
-		lost.Add(r.Breakdown.Lost)
-		recovery.Add(r.Breakdown.Recovery)
-		if r.Truncated {
-			truncated++
+	r.startTimeline()
+	for e := 0; e < p.epochs && !r.capped; e++ {
+		for i := range p.phases {
+			r.runPhase(&p.phases[i])
 		}
 	}
-	if workers <= 1 {
-		// Serial campaigns reduce on the fly: replicas already complete in
-		// repetition order, no block buffer needed.
-		for i := 0; i < cfg.Reps; i++ {
-			reduce(runners[0].run(i))
+	return runResult(r.now, p.useful, r.faults, r.capped, r.b)
+}
+
+// chunkSchedule replicates simPhase's chunk loop for a periodic phase
+// exactly, floats and all.
+func chunkSchedule(ph *phaseSpec) []float64 {
+	workPerPeriod := ph.period - ph.ckpt
+	var sched []float64
+	completed := 0.0
+	for completed < ph.work {
+		chunk := workPerPeriod
+		if rem := ph.work - completed; rem < chunk {
+			chunk = rem
 		}
-	} else {
-		// Parallel replicas are processed in bounded blocks — parallel fill,
-		// then a sequential reduce in repetition order — so memory stays
-		// O(blockSize) for arbitrarily large campaigns. Floating-point
-		// accumulation is order-dependent; the ordered reduce keeps the
-		// aggregate independent of the worker count and of which worker ran
-		// which replica.
-		const blockSize = 4096
-		results := make([]RunResult, min(cfg.Reps, blockSize))
-		for base := 0; base < cfg.Reps; base += len(results) {
-			n := min(len(results), cfg.Reps-base)
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func(rr *replicaRunner) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= n {
-							return
-						}
-						results[i] = rr.run(base + i)
-					}
-				}(runners[w])
+		sched = append(sched, chunk)
+		completed += chunk
+	}
+	return sched
+}
+
+// runPhase is simPhase specialized to the runner, with a fast path per phase
+// kind for the dominant case — the whole step completes before the next
+// failure and below the safety horizon — which skips the advance call and
+// its bookkeeping entirely. Every float is accumulated in the same order and
+// association as simPhase, so results are bit-identical.
+func (r *replicaRunner) runPhase(ph *phaseSpec) {
+	switch ph.kind {
+	case phaseABFT:
+		remaining := ph.work
+		for remaining > 0 && !r.capped {
+			if end := r.now + remaining; end <= r.next && end <= r.horizon {
+				r.now = end
+				r.b.Work += remaining
+				remaining = 0
+				break
 			}
-			wg.Wait()
-			for _, r := range results[:n] {
-				reduce(r)
+			done, ok := r.advance(remaining)
+			// ABFT retains progress: completed work counts even when a
+			// failure interrupted the attempt.
+			r.b.Work += done
+			remaining -= done
+			if !ok {
+				r.recoverLoop(ph.recovery)
 			}
 		}
-	}
-	return Aggregate{
-		Waste:     waste.Summarize(),
-		Faults:    faults.Summarize(),
-		TFinal:    tfinal.Summarize(),
-		Work:      work.Summarize(),
-		Ckpt:      ckpt.Summarize(),
-		Lost:      lost.Summarize(),
-		Recovery:  recovery.Summarize(),
-		Runs:      cfg.Reps,
-		Truncated: truncated,
+		// Exit checkpoint of the LIBRARY dataset; a failure during it is
+		// repaired by ABFT reconstruction and the checkpoint restarts.
+		for !r.capped {
+			if end := r.now + ph.ckpt; end <= r.next && end <= r.horizon {
+				r.now = end
+				r.b.Ckpt += ph.ckpt
+				return
+			}
+			done, ok := r.advance(ph.ckpt)
+			if ok {
+				r.b.Ckpt += done
+				return
+			}
+			r.b.Lost += done
+			r.recoverLoop(ph.recovery)
+		}
+
+	case phaseShort:
+		// All-or-nothing: a failure loses all progress since phase start,
+		// including the trailing checkpoint if it had begun.
+		for !r.capped {
+			if end := r.now + ph.work + ph.trailing; end <= r.next && end <= r.horizon {
+				r.now = end
+				r.b.Work += ph.work
+				r.b.Ckpt += ph.trailing
+				return
+			}
+			done, ok := r.advance(ph.work)
+			if !ok {
+				r.b.Lost += done
+				r.recoverLoop(ph.recovery)
+				continue
+			}
+			var cd float64
+			if ph.trailing > 0 {
+				var ckptOK bool
+				cd, ckptOK = r.advance(ph.trailing)
+				if !ckptOK {
+					r.b.Lost += done + cd
+					r.recoverLoop(ph.recovery)
+					continue
+				}
+			}
+			r.b.Work += done
+			r.b.Ckpt += cd
+			return
+		}
+
+	case phasePeriodic:
+		workPerPeriod := ph.period - ph.ckpt
+		completed := 0.0
+		for completed < ph.work && !r.capped {
+			chunk := workPerPeriod
+			if rem := ph.work - completed; rem < chunk {
+				chunk = rem
+			}
+			if end := r.now + chunk + ph.ckpt; end <= r.next && end <= r.horizon {
+				r.now = end
+				r.b.Work += chunk
+				r.b.Ckpt += ph.ckpt
+				completed += chunk
+				continue
+			}
+			// Attempt chunk + checkpoint; on failure, roll back to the
+			// last completed checkpoint and retry the chunk.
+			done, ok := r.advance(chunk)
+			if !ok {
+				r.b.Lost += done
+				r.recoverLoop(ph.recovery)
+				continue
+			}
+			cd, ckptOK := r.advance(ph.ckpt)
+			if !ckptOK {
+				r.b.Lost += done + cd
+				r.recoverLoop(ph.recovery)
+				continue
+			}
+			r.b.Work += done
+			r.b.Ckpt += cd
+			completed += chunk
+		}
+
+	default:
+		panic("sim: unknown phase kind")
 	}
 }

@@ -27,6 +27,20 @@ func (s *scripted) NextAfter(t float64) float64 {
 
 func noFailures() FailureSource { return &scripted{} }
 
+// simulate runs a fixed campaign and returns its (comparable) Aggregate.
+func simulate(cfg Config) Aggregate { return Simulate(cfg, Options{}).Aggregate }
+
+// simulateAdaptive runs cfg under the precision block prec.
+func simulateAdaptive(cfg Config, prec Precision) AdaptiveAggregate {
+	return Simulate(cfg, Options{Precision: prec})
+}
+
+// periodicRunner builds one worker's runner for a periodic campaign.
+func periodicRunner(cfg Config, o Options) *replicaRunner {
+	fam, c := cfg.withDefaults().engine(o)
+	return newReplicaRunner(fam, c)
+}
+
 // Short-regime pure periodic: T0 below the optimal period means a single
 // work chunk with no trailing checkpoint.
 func TestShortPhaseFaultFree(t *testing.T) {
@@ -195,7 +209,7 @@ func TestTruncationOnInfeasibleScenario(t *testing.T) {
 		Reps:          20,
 		MaxTimeFactor: 10,
 	}
-	agg := Simulate(cfg)
+	agg := simulate(cfg)
 	if agg.Truncated != agg.Runs {
 		t.Fatalf("truncated %d of %d runs, want all", agg.Truncated, agg.Runs)
 	}
@@ -211,13 +225,13 @@ func TestSimulateDeterminism(t *testing.T) {
 		Reps:     50,
 		Seed:     7,
 	}
-	a := Simulate(cfg)
-	b := Simulate(cfg)
+	a := simulate(cfg)
+	b := simulate(cfg)
 	if a.Waste != b.Waste || a.Faults != b.Faults || a.TFinal != b.TFinal {
 		t.Fatal("same seed produced different aggregates")
 	}
 	cfg.Seed = 8
-	c := Simulate(cfg)
+	c := simulate(cfg)
 	if a.Waste.Mean == c.Waste.Mean {
 		t.Fatal("different seed produced identical waste mean")
 	}
@@ -240,7 +254,7 @@ func TestSimMatchesModelFig7(t *testing.T) {
 			for _, alpha := range []float64{0.2, 0.5, 0.8} {
 				p := model.Fig7Params(mu, alpha)
 				want := model.Evaluate(proto, p, model.Options{}).Waste
-				agg := Simulate(Config{Params: p, Protocol: proto, Reps: 200, Seed: 42})
+				agg := simulate(Config{Params: p, Protocol: proto, Reps: 200, Seed: 42})
 				diff := agg.Waste.Mean - want
 				bound := 0.13
 				if mu >= 2*model.Hour {
@@ -269,7 +283,7 @@ func TestSimMatchesExactRenewalFormula(t *testing.T) {
 	perPeriod := (p.Mu + p.D) * math.Exp(p.R/p.Mu) * (math.Exp(period/p.Mu) - 1)
 	// Rate of useful work under the exact model.
 	exactWaste := 1 - (period-p.C)/perPeriod
-	agg := Simulate(Config{Params: p, Protocol: model.PurePeriodicCkpt, Reps: 400, Seed: 13})
+	agg := simulate(Config{Params: p, Protocol: model.PurePeriodicCkpt, Reps: 400, Seed: 13})
 	if d := math.Abs(agg.Waste.Mean - exactWaste); d > 0.01 {
 		t.Errorf("sim waste %.4f vs exact renewal %.4f (diff %.4f)", agg.Waste.Mean, exactWaste, d)
 	}
@@ -283,7 +297,7 @@ func TestSimMatchesModelLargeMTBF(t *testing.T) {
 	for _, proto := range model.Protocols {
 		p := model.Fig7Params(4*model.Hour, 0.5)
 		want := model.Evaluate(proto, p, model.Options{}).Waste
-		agg := Simulate(Config{Params: p, Protocol: proto, Reps: 300, Seed: 9})
+		agg := simulate(Config{Params: p, Protocol: proto, Reps: 300, Seed: 9})
 		if d := math.Abs(agg.Waste.Mean - want); d > 0.03 {
 			t.Errorf("%v: |sim-model| = %v (sim %v, model %v)", proto, d, agg.Waste.Mean, want)
 		}
@@ -293,7 +307,7 @@ func TestSimMatchesModelLargeMTBF(t *testing.T) {
 // Simulated fault counts track TFinal/mu.
 func TestFaultCountConsistency(t *testing.T) {
 	p := model.Fig7Params(2*model.Hour, 0.5)
-	agg := Simulate(Config{Params: p, Protocol: model.PurePeriodicCkpt, Reps: 200, Seed: 3})
+	agg := simulate(Config{Params: p, Protocol: model.PurePeriodicCkpt, Reps: 200, Seed: 3})
 	wantFaults := agg.TFinal.Mean / p.Mu
 	if math.Abs(agg.Faults.Mean-wantFaults)/wantFaults > 0.05 {
 		t.Errorf("faults %v vs TFinal/mu %v", agg.Faults.Mean, wantFaults)
@@ -304,9 +318,9 @@ func TestFaultCountConsistency(t *testing.T) {
 // the regime the paper highlights (high alpha, low MTBF).
 func TestCompositeWinsInSimulation(t *testing.T) {
 	p := model.Fig7Params(model.Hour, 0.8)
-	wPure := Simulate(Config{Params: p, Protocol: model.PurePeriodicCkpt, Reps: 150, Seed: 5}).Waste.Mean
-	wBi := Simulate(Config{Params: p, Protocol: model.BiPeriodicCkpt, Reps: 150, Seed: 5}).Waste.Mean
-	wComposite := Simulate(Config{Params: p, Protocol: model.AbftPeriodicCkpt, Reps: 150, Seed: 5}).Waste.Mean
+	wPure := simulate(Config{Params: p, Protocol: model.PurePeriodicCkpt, Reps: 150, Seed: 5}).Waste.Mean
+	wBi := simulate(Config{Params: p, Protocol: model.BiPeriodicCkpt, Reps: 150, Seed: 5}).Waste.Mean
+	wComposite := simulate(Config{Params: p, Protocol: model.AbftPeriodicCkpt, Reps: 150, Seed: 5}).Waste.Mean
 	if !(wComposite < wBi && wComposite < wPure) {
 		t.Errorf("composite %v should beat bi %v and pure %v", wComposite, wBi, wPure)
 	}
@@ -314,7 +328,7 @@ func TestCompositeWinsInSimulation(t *testing.T) {
 
 func TestWeibullFailuresSupported(t *testing.T) {
 	p := model.Fig7Params(2*model.Hour, 0.5)
-	agg := Simulate(Config{
+	agg := simulate(Config{
 		Params:   p,
 		Protocol: model.AbftPeriodicCkpt,
 		Reps:     50,

@@ -14,31 +14,26 @@ func buildArenaFor(cfg Config, horizon float64) *TraceArena {
 	return BuildTraceArena(cfg.Distribution(cfg.Params.Mu), cfg.Seed, cfg.Reps, horizon)
 }
 
-// SimulateFromTrace must be bit-identical — not approximately equal — to
-// Simulate on every configuration: all protocols, all failure laws, the
-// safeguard, multi-epoch runs, horizon truncation and the event-calendar
-// path, and for every arena horizon, including horizons so short that every
+// Replaying an arena (Options.Arena) must be bit-identical — not
+// approximately equal — to drawing live on every configuration: all protocols, all failure laws, the
+// safeguard, multi-epoch runs and horizon truncation, and for every arena
+// horizon, including horizons so short that every
 // replica falls back to live drawing mid-run. Golden campaign CSVs and the
 // shared cell cache depend on this equivalence.
 func TestSimulateFromTraceMatchesSimulate(t *testing.T) {
-	for ci, base := range equivConfigs() {
-		for _, useDES := range []bool{false, true} {
-			cfg := base
-			cfg.UseEventCalendar = useDES
-			cfg.Reps = 48
-			cfg.Workers = 1
-			want := Simulate(cfg)
-			useful := cfg.Params.T0
-			if cfg.Epochs > 1 {
-				useful *= float64(cfg.Epochs)
-			}
-			for _, horizon := range []float64{3 * useful, 0.3 * useful, 0} {
-				tr := buildArenaFor(cfg, horizon)
-				got := SimulateFromTrace(cfg, tr)
-				if got != want {
-					t.Fatalf("config %d (des=%v) horizon %g diverged:\n got %+v\nwant %+v",
-						ci, useDES, horizon, got, want)
-				}
+	for ci, cfg := range equivConfigs() {
+		cfg.Reps = 48
+		cfg.Workers = 1
+		want := simulate(cfg)
+		useful := cfg.Params.T0
+		if cfg.Epochs > 1 {
+			useful *= float64(cfg.Epochs)
+		}
+		for _, horizon := range []float64{3 * useful, 0.3 * useful, 0} {
+			tr := buildArenaFor(cfg, horizon)
+			got := Simulate(cfg, Options{Arena: tr}).Aggregate
+			if got != want {
+				t.Fatalf("config %d horizon %g diverged:\n got %+v\nwant %+v", ci, horizon, got, want)
 			}
 		}
 	}
@@ -55,12 +50,12 @@ func TestSimulateFromTracePrefixAndWorkers(t *testing.T) {
 
 	short := cfg
 	short.Reps = 20
-	if got, want := SimulateFromTrace(short, tr), Simulate(short); got != want {
+	if got, want := Simulate(short, Options{Arena: tr}).Aggregate, simulate(short); got != want {
 		t.Fatalf("prefix replay diverged:\n got %+v\nwant %+v", got, want)
 	}
 	parallel := cfg
 	parallel.Workers = 4
-	if got, want := SimulateFromTrace(parallel, tr), Simulate(cfg); got != want {
+	if got, want := Simulate(parallel, Options{Arena: tr}).Aggregate, simulate(cfg); got != want {
 		t.Fatalf("parallel replay diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -118,8 +113,7 @@ func TestTraceReplayAllocFree(t *testing.T) {
 	cfg = cfg.withDefaults()
 	for _, horizon := range []float64{2 * cfg.Params.T0, 0} {
 		tr := buildArenaFor(cfg, horizon)
-		phases := epochPhases(cfg.Protocol, cfg.Params, cfg.Safeguard)
-		rr := newReplicaRunner(cfg, phases, periodicChunkSchedules(phases), cfg.Distribution(cfg.Params.Mu), tr)
+		rr := periodicRunner(cfg, Options{Arena: tr})
 		rep := 0
 		allocs := testing.AllocsPerRun(100, func() {
 			_ = rr.run(rep % cfg.Reps)
@@ -147,16 +141,15 @@ func TestSimulateFromTraceRejectsMismatchedArena(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("nil arena", func() { SimulateFromTrace(cfg, nil) })
 	wrongSeed := cfg
 	wrongSeed.Seed++
-	mustPanic("wrong seed", func() { SimulateFromTrace(wrongSeed, tr) })
+	mustPanic("wrong seed", func() { Simulate(wrongSeed, Options{Arena: tr}) })
 	tooManyReps := cfg
 	tooManyReps.Reps = 9
-	mustPanic("too many reps", func() { SimulateFromTrace(tooManyReps, tr) })
+	mustPanic("too many reps", func() { Simulate(tooManyReps, Options{Arena: tr}) })
 	wrongMean := cfg
 	wrongMean.Params.Mu *= 2
-	mustPanic("wrong mean", func() { SimulateFromTrace(wrongMean, tr) })
+	mustPanic("wrong mean", func() { Simulate(wrongMean, Options{Arena: tr}) })
 	mustPanic("zero reps build", func() { BuildTraceArena(cfg.Distribution(cfg.Params.Mu), 1, 0, 10) })
 	mustPanic("infinite horizon build", func() {
 		BuildTraceArena(cfg.Distribution(cfg.Params.Mu), 1, 1, math.Inf(1))

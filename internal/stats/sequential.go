@@ -8,10 +8,10 @@ import (
 // This file is the adaptive-precision estimator core: anytime-valid
 // confidence intervals for a sequentially monitored mean (with an optional
 // control variate), and paired-difference intervals over matched samples.
-// The simulator's sequential stopping (internal/sim.SimulateAdaptive) and
-// the scenario layer's protocol-difference tables are both built on it, and
-// its coverage is pinned empirically by the meta-test harness in
-// coverage.go.
+// The simulator's sequential stopping (internal/sim.Simulate with a
+// Precision block) and the scenario layer's protocol-difference tables are
+// both built on it, and its coverage is pinned empirically by the meta-test
+// harness in coverage.go.
 
 // InvNorm returns the standard normal quantile Phi^{-1}(p) for p in (0, 1),
 // using Acklam's rational approximation (relative error < 1.2e-9 across the
