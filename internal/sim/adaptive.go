@@ -10,10 +10,11 @@ import (
 // Adaptive-precision execution: instead of spending a fixed replica budget
 // per cell, Simulate with Options.Precision runs replicas in doubling
 // batches and stops as soon as the waste confidence interval is tight
-// enough, hard-capped at cfg.Reps. The interval is anytime-valid (stats.Sequential spends its
-// error budget across looks at the law-of-iterated-logarithm rate), so the
-// CI reported at the data-dependent stopping time is an honest one — pinned
-// empirically by the coverage meta-tests in adaptive_test.go.
+// enough, hard-capped at cfg.Reps. The interval is anytime-valid
+// (stats.Sequential spends its error budget across looks at the
+// law-of-iterated-logarithm rate), so the CI reported at the data-dependent
+// stopping time is an honest one — pinned empirically by the coverage
+// meta-tests in adaptive_test.go.
 //
 // When the failure law is exponential, the analytic model's makespan
 // prediction H (Precision.ModelTFinal) powers a control variate: the number
@@ -84,10 +85,11 @@ func (p Precision) Validate() error {
 }
 
 // AdaptiveAggregate is Simulate's result: Aggregate extended with the
-// adaptive run's statistics. The embedded Aggregate summarizes exactly the replicas that ran
-// (Runs <= RepsCap); its Waste.CI95 is the naive fixed-n half-width, while
-// WasteEstimate/WasteHalfWidth are the sequential procedure's honest values
-// (optional-stopping-valid, control-variate-adjusted) — report those.
+// adaptive run's statistics. The embedded Aggregate summarizes exactly the
+// replicas that ran (Runs <= RepsCap); its Waste.CI95 is the naive fixed-n
+// half-width, while WasteEstimate/WasteHalfWidth are the sequential
+// procedure's honest values (optional-stopping-valid,
+// control-variate-adjusted) — report those.
 type AdaptiveAggregate struct {
 	Aggregate
 	// RepsCap is the configured hard cap (cfg.Reps).

@@ -316,6 +316,8 @@ func drive(fam family, c clock, reps, workers int, prec *Precision) AdaptiveAggr
 		if n := min(count, blockSize); len(results) < n {
 			results, cvs = make([]RunResult, n), make([]float64, n)
 		}
+		// The workers capture these copies by value, which keeps results
+		// and cvs themselves off the heap.
 		res, cv := results, cvs
 		for blk := 0; blk < count; blk += len(res) {
 			n := min(len(res), count-blk)
@@ -344,11 +346,7 @@ func drive(fam family, c clock, reps, workers int, prec *Precision) AdaptiveAggr
 
 	if prec == nil {
 		runRange(0, reps)
-		agg := acc.aggregate()
-		return AdaptiveAggregate{
-			Aggregate: agg, RepsCap: reps,
-			WasteEstimate: agg.Waste.Mean, WasteHalfWidth: agg.Waste.CI95, CVVarianceRatio: 1,
-		}
+		return AdaptiveAggregate{Aggregate: acc.aggregate(), RepsCap: reps}
 	}
 	p := prec.withDefaults()
 	acc.seq = stats.NewSequential(stats.SequentialOpts{

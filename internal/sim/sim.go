@@ -446,9 +446,8 @@ func (o Options) adaptive() bool { return o.Precision != Precision{} }
 // failures, while remaining bit-identical to the reference SimulateOnce
 // walker (pinned by TestReplicaRunnerMatchesSimulateOnce).
 //
-// Without a precision block the adaptive fields of the result describe the
-// fixed run: RepsCap is cfg.Reps, WasteEstimate and WasteHalfWidth are the
-// plain mean and CI95, and CVVarianceRatio is 1.
+// Without a precision block only the embedded Aggregate and RepsCap
+// (cfg.Reps) of the result are set.
 func Simulate(cfg Config, o Options) AdaptiveAggregate {
 	cfg = cfg.withDefaults()
 	fam, c := cfg.engine(o)
