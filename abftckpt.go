@@ -233,8 +233,8 @@ func Fig7Params(mtbf, alpha float64) Params {
 type WeakScaling = model.WeakScaling
 
 // Fig8Scenario, Fig9Scenario and Fig10Scenario return the paper's
-// weak-scaling studies; see internal/model and DESIGN.md §5-S3 for the
-// checkpoint-cost-scaling caveat.
+// weak-scaling studies; see internal/model and docs/PAPER_MAP.md (Caveats)
+// for the checkpoint-cost-scaling caveat.
 func Fig8Scenario() WeakScaling  { return model.Fig8Scenario(model.ScaleConstant) }
 func Fig9Scenario() WeakScaling  { return model.Fig9Scenario(model.ScaleLinear) }
 func Fig10Scenario() WeakScaling { return model.Fig10Scenario() }

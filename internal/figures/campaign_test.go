@@ -15,7 +15,7 @@ import (
 var paperCampaignPath = filepath.Join("..", "..", "examples", "campaigns", "paper.json")
 
 // TestPaperCampaignValidates checks the full evaluation campaign expands
-// cleanly and names every artifact of the historical cmd/figures output.
+// cleanly and names every artifact of the paper evaluation.
 func TestPaperCampaignValidates(t *testing.T) {
 	c := PaperCampaign(100, 42, true)
 	if err := c.Validate(); err != nil {

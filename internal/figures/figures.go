@@ -2,13 +2,14 @@
 // evaluation section (Section V) as declarative scenario specs executed by
 // the internal/scenario campaign engine. Nothing here computes results
 // directly: each function builds a Spec, and PaperCampaign collects the
-// whole evaluation into one Campaign that cmd/figures (and, from a JSON
-// file, cmd/ftcampaign) runs through the engine.
+// whole evaluation into one Campaign. The committed
+// examples/campaigns/paper.json is that campaign (TestPaperCampaignFile pins
+// it), and cmd/ftcampaign runs it through the engine.
 //
 // Parameter choices that the paper leaves ambiguous (notably the
 // checkpoint-cost scaling of Figures 8-10, whose stated form is infeasible
-// at 10^6 nodes) are documented in DESIGN.md §5-S3 and EXPERIMENTS.md; both
-// the paper-stated and the feasible variants are emitted.
+// at 10^6 nodes) are documented in docs/PAPER_MAP.md (Caveats); both the
+// paper-stated and the feasible variants are emitted.
 package figures
 
 import (
@@ -108,7 +109,7 @@ func boolPtr(b bool) *bool { return &b }
 // reproduces the published crossover in the 10^5..10^6 decade; an amortized
 // variant and the paper-stated linear checkpoint scaling are emitted
 // alongside (the latter drives every protocol infeasible at extreme scale,
-// see DESIGN.md §5-S3).
+// see docs/PAPER_MAP.md, Caveats).
 func Fig8Spec(nodes []float64) *scenario.Spec {
 	series := append(
 		protocolSeries("paper-fig8-const-ckpt", ""),
@@ -349,9 +350,10 @@ func WeibullSensitivity(shapes []float64, reps int, seed uint64) *plot.Table {
 }
 
 // PaperCampaign collects the whole Section V evaluation — every heatmap,
-// weak-scaling chart and table of cmd/figures — into one campaign. reps and
-// seed parameterize the simulation-backed scenarios; withSim=false drops
-// them (the -model-only mode).
+// weak-scaling chart and table — into one campaign, the one committed as
+// examples/campaigns/paper.json. reps and seed parameterize the
+// simulation-backed scenarios; withSim=false drops them (a model-only
+// campaign).
 func PaperCampaign(reps int, seed uint64, withSim bool) *scenario.Campaign {
 	c := &scenario.Campaign{
 		Name: "paper-eval",

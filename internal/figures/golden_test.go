@@ -19,7 +19,7 @@ import (
 // code; they pin the refactor to byte-identical CSV output.
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// csvArtifact is anything cmd/figures and cmd/ftcampaign write as CSV.
+// csvArtifact is anything cmd/ftcampaign writes as CSV.
 type csvArtifact interface {
 	WriteCSV(w io.Writer) error
 }

@@ -143,8 +143,8 @@ type WeakScaling struct {
 
 // Fig8Scenario returns the paper's Figure 8 scenario: both phases O(n^3),
 // alpha fixed at 0.8, with the given checkpoint-cost scaling law (the paper
-// states ScaleLinear; see DESIGN.md §5-S3 for the feasibility caveat and the
-// ScaleConstant scalable-storage variant).
+// states ScaleLinear; see docs/PAPER_MAP.md (Caveats) for the feasibility
+// caveat and the ScaleConstant scalable-storage variant).
 func Fig8Scenario(ckptScaling ScalingLaw) WeakScaling {
 	return WeakScaling{
 		BaseNodes:      10_000,

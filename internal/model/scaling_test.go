@@ -138,7 +138,7 @@ func TestFig8ShapeScalableStorage(t *testing.T) {
 
 // The paper-stated linear checkpoint scaling drives every protocol
 // infeasible at 1M nodes (recovery alone exceeds the MTBF) — the
-// feasibility caveat recorded in DESIGN.md §5-S3.
+// feasibility caveat recorded in docs/PAPER_MAP.md (Caveats).
 func TestFig8LinearCkptInfeasibleAtExtremeScale(t *testing.T) {
 	w := Fig8Scenario(ScaleLinear)
 	w.AggregateEpochs = true

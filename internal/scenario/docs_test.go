@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -59,12 +61,9 @@ func TestScenariosDocCoversEverySpecField(t *testing.T) {
 		}
 	}
 	// Every kind must be documented with its own section.
-	for _, kind := range []string{
-		KindHeatmap, KindScaling, KindPoints, KindPeriods, KindAblation,
-		KindSensitivity, KindSilentHeatmap, KindMultiLevelScaling,
-	} {
-		if !strings.Contains(doc, "## Kind: `"+kind+"`") {
-			t.Errorf("docs/SCENARIOS.md has no section for kind %q", kind)
+	for _, k := range kinds {
+		if !strings.Contains(doc, "## Kind: `"+k.name+"`") {
+			t.Errorf("docs/SCENARIOS.md has no section for kind %q", k.name)
 		}
 	}
 }
@@ -145,5 +144,61 @@ func TestIntraRepoMarkdownLinks(t *testing.T) {
 				t.Errorf("%s links to %q, which does not exist (%v)", rel, m[1], err)
 			}
 		}
+	}
+}
+
+// mdPath matches a markdown file path such as docs/PAPER_MAP.md.
+var mdPath = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestGoCommentsCiteExistingDocs checks every markdown path a Go comment
+// cites: it must resolve from the commenting file's directory, the repo
+// root or docs/, so comments cannot point readers at documents that do
+// not exist.
+func TestGoCommentsCiteExistingDocs(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, group := range f.Comments {
+			for _, cite := range mdPath.FindAllString(group.Text(), -1) {
+				checked++
+				found := false
+				for _, dir := range []string{filepath.Dir(path), root, filepath.Join(root, "docs")} {
+					if _, err := os.Stat(filepath.Join(dir, cite)); err == nil {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Errorf("%s cites %s, which resolves from neither its directory, the repo root nor docs/", rel, cite)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("found no markdown citations in Go comments")
 	}
 }

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 
 	"abftckpt/internal/model"
@@ -21,125 +24,112 @@ type expansion struct {
 	assemble  func(results []CellResult) ([]Artifact, error)
 }
 
-// setFields reports which kind-specific spec fields are set, by JSON name.
+// kind is one scenario kind: its name, the kind-specific JSON fields it
+// accepts (name, kind, title, notes and options always apply) and its
+// expander.
+type kind struct {
+	name   string
+	fields []string
+	expand func(s *Spec, c *Campaign) (*expansion, error)
+}
+
+// kinds is the only place that knows the scenario kinds, listed in the
+// order error messages name them. seed, reps, share_traces and precision
+// only drive simulation cells, so only the simulation-backed kinds list
+// them: an analytic kind would silently ignore them.
+var kinds = []kind{
+	{KindHeatmap, []string{"protocol", "platform", "platform_overrides", "output", "mtbf_minutes", "alphas",
+		"distribution", "render", "seed", "reps", "share_traces", "precision"}, (*Spec).expandHeatmap},
+	{KindScaling, []string{"nodes", "series"}, (*Spec).expandScaling},
+	{KindPoints, []string{"at_nodes", "rows"}, (*Spec).expandPoints},
+	{KindPeriods, []string{"ckpt_costs", "mtbfs", "downtime"}, (*Spec).expandPeriods},
+	{KindAblation, []string{"variant", "platform", "protocol", "nodes"}, (*Spec).expandAblation},
+	{KindSensitivity, []string{"platform", "platform_overrides", "mtbf", "alpha", "label", "cases",
+		"seed", "reps", "share_traces", "precision"}, (*Spec).expandSensitivity},
+	{KindSilentHeatmap, []string{"platform", "platform_overrides", "output", "mtbe_minutes", "verify_costs",
+		"recovery", "silent", "distribution", "render", "seed", "reps"}, (*Spec).expandSilentHeatmap},
+	{KindMultiLevelScaling, []string{"output", "nodes", "ml_series", "distribution", "seed", "reps"},
+		(*Spec).expandMultiLevelScaling},
+}
+
+// lookupKind returns the table entry of a kind name.
+func lookupKind(name string) (*kind, error) {
+	if i := slices.IndexFunc(kinds, func(k kind) bool { return k.name == name }); i >= 0 {
+		return &kinds[i], nil
+	}
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.name
+	}
+	if name == "" {
+		return nil, fmt.Errorf("kind is required (one of %s)", strings.Join(names, ", "))
+	}
+	return nil, fmt.Errorf("unknown kind %q (one of %s)", name, strings.Join(names, ", "))
+}
+
+// commonFields are the Spec fields every kind accepts, by JSON name.
+var commonFields = []string{"name", "kind", "title", "notes", "options"}
+
+// setFields reports which kind-specific spec fields are set, by JSON name in
+// declaration order. A slice counts as set only when non-empty (so
+// "series": [] stays unset), a pointer when non-nil, a scalar when non-zero.
 func (s *Spec) setFields() []string {
+	v := reflect.ValueOf(s).Elem()
 	var out []string
-	set := func(cond bool, name string) {
-		if cond {
+	for i := range v.NumField() {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		f := v.Field(i)
+		set := !f.IsZero()
+		if f.Kind() == reflect.Slice {
+			set = f.Len() > 0
+		}
+		if set && !slices.Contains(commonFields, name) {
 			out = append(out, name)
 		}
 	}
-	set(s.Protocol != "", "protocol")
-	set(s.Platform != "", "platform")
-	set(s.PlatformOverrides != nil, "platform_overrides")
-	set(s.Output != "", "output")
-	set(s.MTBFMinutes != nil, "mtbf_minutes")
-	set(s.Alphas != nil, "alphas")
-	set(s.Distribution != nil, "distribution")
-	set(s.Render != nil, "render")
-	set(s.Nodes != nil, "nodes")
-	set(len(s.Series) > 0, "series")
-	set(s.AtNodes != nil, "at_nodes")
-	set(len(s.Rows) > 0, "rows")
-	set(len(s.CkptCosts) > 0, "ckpt_costs")
-	set(len(s.MTBFs) > 0, "mtbfs")
-	set(s.Downtime != nil, "downtime")
-	set(s.Variant != "", "variant")
-	set(s.MTBF != nil, "mtbf")
-	set(s.Alpha != nil, "alpha")
-	set(s.Label != "", "label")
-	set(len(s.Cases) > 0, "cases")
-	set(s.Recovery != "", "recovery")
-	set(s.MTBEMinutes != nil, "mtbe_minutes")
-	set(s.VerifyCosts != nil, "verify_costs")
-	set(s.Silent != nil, "silent")
-	set(len(s.MLSeries) > 0, "ml_series")
-	// seed, reps and share_traces only drive simulation cells; on the purely
-	// analytic kinds they would be silently ignored, so they are validated
-	// like kind-specific fields.
-	set(s.Seed != nil, "seed")
-	set(s.Reps != 0, "reps")
-	set(s.ShareTraces, "share_traces")
-	set(s.Precision != nil, "precision")
 	return out
-}
-
-// kindFields lists the kind-specific fields each kind accepts (common
-// fields — name, kind, title, notes, options — always apply; seed and reps
-// only on the simulation-backed kinds).
-var kindFields = map[string][]string{
-	KindHeatmap:     {"protocol", "platform", "platform_overrides", "output", "mtbf_minutes", "alphas", "distribution", "render", "seed", "reps", "share_traces", "precision"},
-	KindScaling:     {"nodes", "series"},
-	KindPoints:      {"at_nodes", "rows"},
-	KindPeriods:     {"ckpt_costs", "mtbfs", "downtime"},
-	KindAblation:    {"variant", "platform", "protocol", "nodes"},
-	KindSensitivity: {"platform", "platform_overrides", "mtbf", "alpha", "label", "cases", "seed", "reps", "share_traces", "precision"},
-	KindSilentHeatmap: {"platform", "platform_overrides", "output", "mtbe_minutes", "verify_costs",
-		"recovery", "silent", "distribution", "render", "seed", "reps"},
-	KindMultiLevelScaling: {"output", "nodes", "ml_series", "distribution", "seed", "reps"},
 }
 
 // checkFields rejects fields that exist in the schema but do not apply to
 // the spec's kind, so a misplaced field fails loudly instead of silently
 // running the kind's default.
-func (s *Spec) checkFields() error {
-	allowed := map[string]bool{}
-	for _, f := range kindFields[s.Kind] {
-		allowed[f] = true
-	}
+func (k *kind) checkFields(s *Spec) error {
 	for _, f := range s.setFields() {
-		if !allowed[f] {
+		if !slices.Contains(k.fields, f) {
 			return fmt.Errorf("field %q does not apply to kind %q (allowed: %s)",
-				f, s.Kind, strings.Join(kindFields[s.Kind], ", "))
+				f, k.name, strings.Join(k.fields, ", "))
 		}
 	}
 	return nil
 }
 
 // expand resolves the spec against the campaign defaults, validates it, and
-// returns its cell grid and assembler.
-func (s *Spec) expand(c *Campaign) (*expansion, error) {
+// returns its cell grid and assembler. Every error names the scenario.
+func (s *Spec) expand(c *Campaign) (ex *expansion, err error) {
+	defer func() {
+		if err != nil {
+			ex, err = nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+		}
+	}()
 	if err := s.Options.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+		return nil, err
 	}
 	if s.Reps < 0 {
-		return nil, fmt.Errorf("scenario %q: reps must be non-negative", s.Name)
+		return nil, fmt.Errorf("reps must be non-negative")
 	}
-	if _, ok := kindFields[s.Kind]; ok {
-		if err := s.checkFields(); err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-	}
-	var ex *expansion
-	var err error
-	switch s.Kind {
-	case KindHeatmap:
-		ex, err = s.expandHeatmap(c)
-	case KindScaling:
-		ex, err = s.expandScaling()
-	case KindPoints:
-		ex, err = s.expandPoints()
-	case KindPeriods:
-		ex, err = s.expandPeriods()
-	case KindAblation:
-		ex, err = s.expandAblation()
-	case KindSensitivity:
-		ex, err = s.expandSensitivity(c)
-	case KindSilentHeatmap:
-		ex, err = s.expandSilentHeatmap(c)
-	case KindMultiLevelScaling:
-		ex, err = s.expandMultiLevelScaling(c)
-	case "":
-		return nil, fmt.Errorf("scenario %q: kind is required (one of %s)", s.Name, kindList)
-	default:
-		return nil, fmt.Errorf("scenario %q: unknown kind %q (one of %s)", s.Name, s.Kind, kindList)
-	}
+	k, err := lookupKind(s.Kind)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+		return nil, err
+	}
+	if err := k.checkFields(s); err != nil {
+		return nil, err
+	}
+	if ex, err = k.expand(s, c); err != nil {
+		return nil, err
 	}
 	for i := range ex.cells {
 		if err := ex.cells[i].Validate(); err != nil {
-			return nil, fmt.Errorf("scenario %q: cell %d: %w", s.Name, i, err)
+			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
 	}
 	return ex, nil
@@ -151,6 +141,15 @@ func (s *Spec) expand(c *Campaign) (*expansion, error) {
 // cells.
 const maxScenarioCells = 20_000
 
+// checkCells rejects a grid of n cells beyond maxScenarioCells. Every
+// expander calls it before it allocates a cell.
+func (s *Spec) checkCells(n int) error {
+	if n > maxScenarioCells {
+		return fmt.Errorf("%s grid has %d cells, exceeding the %d-cell limit", s.Kind, n, maxScenarioCells)
+	}
+	return nil
+}
+
 // CellCount reports how many cells a scenario expands into under the
 // campaign's defaults (0 when the spec is invalid). Used by dry runs.
 func CellCount(c *Campaign, s *Spec) int {
@@ -161,12 +160,17 @@ func CellCount(c *Campaign, s *Spec) int {
 	return len(ex.cells)
 }
 
+// valueOr returns *p, or def when p is nil.
+func valueOr[T any](p *T, def T) T {
+	if p != nil {
+		return *p
+	}
+	return def
+}
+
 // seed returns the spec seed, falling back to the campaign default.
 func (s *Spec) seed(c *Campaign) uint64 {
-	if s.Seed != nil {
-		return *s.Seed
-	}
-	return c.seed()
+	return valueOr(s.Seed, c.seed())
 }
 
 // repsOr returns the spec repetition count, falling back to the campaign
@@ -176,6 +180,16 @@ func (s *Spec) repsOr(c *Campaign) int {
 		return s.Reps
 	}
 	return c.reps()
+}
+
+// fixedPlatform resolves the spec's fixed platform (default paper-fig7)
+// with its overrides applied.
+func (s *Spec) fixedPlatform() (Platform, model.Params, error) {
+	plat, err := LookupPlatform(cmp.Or(s.Platform, "paper-fig7"))
+	if err != nil {
+		return Platform{}, model.Params{}, err
+	}
+	return plat, s.PlatformOverrides.apply(plat.Params), nil
 }
 
 // distOrExp canonicalizes an optional distribution to the exponential
@@ -198,29 +212,138 @@ const (
 	OutputDiff  = "diff"
 )
 
-func (s *Spec) expandHeatmap(c *Campaign) (*expansion, error) {
-	output := s.Output
-	if output == "" {
-		output = OutputModel
+// simOnlyFields only drive simulation cells, so the analytic output rejects
+// them: accepting them would let a user believe e.g. a Weibull failure law
+// took effect.
+var simOnlyFields = []string{"distribution", "seed", "reps", "share_traces", "precision"}
+
+// output defaults the spec output to allowed[0] (model) and checks it
+// against the kind's allowed outputs; allowed[1:] are the simulating ones.
+func (s *Spec) output(allowed ...string) (string, error) {
+	out := cmp.Or(s.Output, allowed[0])
+	if !slices.Contains(allowed, out) {
+		return "", fmt.Errorf("unknown output %q (want %s)", s.Output, orList(allowed))
 	}
-	if output != OutputModel && output != OutputSim && output != OutputDiff {
-		return nil, fmt.Errorf("unknown output %q (want model, sim or diff)", s.Output)
-	}
-	if output == OutputModel {
-		// The analytic output never simulates; accepting these would let a
-		// user believe e.g. a Weibull failure law took effect.
-		switch {
-		case s.Distribution != nil:
-			return nil, fmt.Errorf("field %q only applies to output sim or diff", "distribution")
-		case s.Seed != nil:
-			return nil, fmt.Errorf("field %q only applies to output sim or diff", "seed")
-		case s.Reps != 0:
-			return nil, fmt.Errorf("field %q only applies to output sim or diff", "reps")
-		case s.ShareTraces:
-			return nil, fmt.Errorf("field %q only applies to output sim or diff", "share_traces")
-		case s.Precision != nil:
-			return nil, fmt.Errorf("field %q only applies to output sim or diff", "precision")
+	if out == OutputModel {
+		set := s.setFields()
+		for _, f := range simOnlyFields {
+			if slices.Contains(set, f) {
+				return "", fmt.Errorf("field %q only applies to output %s", f, orList(allowed[1:]))
+			}
 		}
+	}
+	return out, nil
+}
+
+// orList joins names as "a, b or c".
+func orList(names []string) string {
+	if len(names) == 1 {
+		return names[0]
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+}
+
+// heatmapGrid is what the fail-stop and silent-error heatmap kinds share:
+// one output variant over a ys x xs grid, laid out row-major, the model
+// cells first and the simulation cells after them (both for output diff).
+type heatmapGrid struct {
+	output         string
+	title          string
+	xLabel, yLabel string
+	xs, ys         []float64
+	modelWaste     func(CellResult) float64
+}
+
+// heatmapTitle is the spec title, or the default title of the output
+// variant: head names the plotted waste, diffHead the difference panel.
+func (s *Spec) heatmapTitle(output, head, diffHead, desc string, reps int) string {
+	switch {
+	case s.Title != "":
+		return s.Title
+	case output == OutputSim:
+		return fmt.Sprintf("%s: Simulation (%d runs/cell)", head, reps)
+	case output == OutputDiff:
+		return diffHead + ": Difference WASTE_simul - WASTE_model"
+	}
+	return fmt.Sprintf("%s: Model (%s)", head, desc)
+}
+
+// cells lays out the model grid and the simulation grid as the output
+// needs them, then any extra grids, each row-major.
+func (g *heatmapGrid) cells(modelCell, simCell func(row, col int) CellSpec, extra ...func(row, col int) CellSpec) []CellSpec {
+	var grids []func(row, col int) CellSpec
+	if g.output != OutputSim {
+		grids = append(grids, modelCell)
+	}
+	if g.output != OutputModel {
+		grids = append(grids, simCell)
+	}
+	grids = append(grids, extra...)
+	cells := make([]CellSpec, 0, len(grids)*len(g.ys)*len(g.xs))
+	for _, at := range grids {
+		for row := range g.ys {
+			for col := range g.xs {
+				cells = append(cells, at(row, col))
+			}
+		}
+	}
+	return cells
+}
+
+// heatmapArtifact assembles the heatmap of model waste, simulated waste or
+// their difference.
+func (s *Spec) heatmapArtifact(g *heatmapGrid, results []CellResult) Artifact {
+	lo, hi := 0.0, 1.0
+	if g.output == OutputDiff {
+		lo, hi = -0.14, 0.14
+	}
+	if s.Render != nil {
+		lo, hi = s.Render.Lo, s.Render.Hi
+	}
+	rows, cols := len(g.ys), len(g.xs)
+	z := sweep.NewMatrix(rows, cols)
+	for i := 0; i < rows*cols; i++ {
+		var v float64
+		switch g.output {
+		case OutputModel:
+			v = g.modelWaste(results[i])
+		case OutputSim:
+			v = float64(results[i].Sim.WasteMean)
+		case OutputDiff:
+			v = float64(results[rows*cols+i].Sim.WasteMean) - g.modelWaste(results[i])
+		}
+		z.Set(i/cols, i%cols, v)
+	}
+	return Artifact{
+		Name: s.Name,
+		Heatmap: &plot.Heatmap{
+			Title: g.title, XLabel: g.xLabel, YLabel: g.yLabel, Xs: g.xs, Ys: g.ys, Z: z,
+		},
+		RenderLo: lo,
+		RenderHi: hi,
+	}
+}
+
+// precisionColumns are the per-cell columns of a _precision table, filled
+// by precisionCells.
+var precisionColumns = []string{"waste", "ci95", "runs", "reps_cap", "stopped", "cv_ratio"}
+
+// precisionCells formats one simulation cell under precisionColumns.
+func precisionCells(res *SimCellResult) []string {
+	return []string{
+		fmt.Sprintf("%.4f", float64(res.WasteMean)),
+		fmt.Sprintf("%.4f", float64(res.WasteCI95)),
+		fmt.Sprintf("%d", res.Runs),
+		fmt.Sprintf("%d", res.RepsCap),
+		fmt.Sprintf("%v", res.Stopped),
+		fmt.Sprintf("%.3f", float64(res.CVVarianceRatio)),
+	}
+}
+
+func (s *Spec) expandHeatmap(c *Campaign) (*expansion, error) {
+	output, err := s.output(OutputModel, OutputSim, OutputDiff)
+	if err != nil {
+		return nil, err
 	}
 	if s.Protocol == "" {
 		return nil, fmt.Errorf("heatmap specs need a protocol")
@@ -252,15 +375,10 @@ func (s *Spec) expandHeatmap(c *Campaign) (*expansion, error) {
 			baseline, baseProto = p.Baseline, bp
 		}
 	}
-	platformName := s.Platform
-	if platformName == "" {
-		platformName = "paper-fig7"
-	}
-	plat, err := LookupPlatform(platformName)
+	plat, tmpl, err := s.fixedPlatform()
 	if err != nil {
 		return nil, err
 	}
-	tmpl := s.PlatformOverrides.apply(plat.Params)
 	mtbfMinutes, err := s.MTBFMinutes.Resolve(sweep.Linspace(60, 240, 19))
 	if err != nil {
 		return nil, err
@@ -272,133 +390,81 @@ func (s *Spec) expandHeatmap(c *Campaign) (*expansion, error) {
 	if len(mtbfMinutes) == 0 || len(alphas) == 0 {
 		return nil, fmt.Errorf("heatmap axes must be non-empty")
 	}
-	if len(mtbfMinutes)*len(alphas) > maxScenarioCells {
-		return nil, fmt.Errorf("heatmap grid has %d cells, exceeding the %d-cell limit",
-			len(mtbfMinutes)*len(alphas), maxScenarioCells)
+	if err := s.checkCells(len(mtbfMinutes) * len(alphas)); err != nil {
+		return nil, err
 	}
 	reps := s.repsOr(c)
 	seed := s.seed(c)
 	opts := s.Options.model()
 	dist := distOrExp(s.Distribution)
-
-	paramsAt := func(row, col int) *model.Params {
-		p := tmpl
-		p.Alpha = alphas[row]
-		p.Mu = mtbfMinutes[col] * model.Minute
-		return &p
+	g := &heatmapGrid{
+		output: output,
+		title:  s.heatmapTitle(output, fmt.Sprintf("Waste of %v", proto), fmt.Sprint(proto), plat.Desc, reps),
+		xLabel: "MTBF system (minutes)",
+		yLabel: "Ratio of time spent in Library Phase (alpha)",
+		xs:     mtbfMinutes,
+		ys:     alphas,
+		modelWaste: func(r CellResult) float64 {
+			return float64(r.Model.Waste)
+		},
 	}
+
 	// The baseline grid keeps per-replica waste vectors so the assembler can
 	// compute paired-difference CIs; KeepReplicas is forced on both grids.
 	keepReplicas := baseline != ""
-	var cells []CellSpec
-	grid := func(op, protocol string, protoNum model.Protocol) {
-		for row := range alphas {
-			for col := range mtbfMinutes {
-				cell := CellSpec{Op: op, Protocol: protocol, Params: paramsAt(row, col), Options: opts}
-				if op == OpSim {
-					cell.Epochs = 1
-					cell.Reps = reps
-					// With share_traces the protocol stays out of the seed
-					// path, so same-seed specs over the same grid observe the
-					// same failure realizations per point.
-					if s.ShareTraces {
-						cell.Seed = rng.At(seed, uint64(row), uint64(col))
-					} else {
-						cell.Seed = rng.At(seed, uint64(protoNum), uint64(row), uint64(col))
-					}
-					cell.Dist = dist
-					if s.Precision != nil {
-						cell.Precision = s.Precision.cell(keepReplicas)
-					}
+	cellAt := func(op, protocol string, protoNum model.Protocol) func(row, col int) CellSpec {
+		return func(row, col int) CellSpec {
+			p := tmpl
+			p.Alpha = alphas[row]
+			p.Mu = mtbfMinutes[col] * model.Minute
+			cell := CellSpec{Op: op, Protocol: protocol, Params: &p, Options: opts}
+			if op == OpSim {
+				cell.Epochs = 1
+				cell.Reps = reps
+				// With share_traces the protocol stays out of the seed path,
+				// so same-seed specs over the same grid observe the same
+				// failure realizations per point.
+				if s.ShareTraces {
+					cell.Seed = rng.At(seed, uint64(row), uint64(col))
+				} else {
+					cell.Seed = rng.At(seed, uint64(protoNum), uint64(row), uint64(col))
 				}
-				cells = append(cells, cell)
+				cell.Dist = dist
+				if s.Precision != nil {
+					cell.Precision = s.Precision.cell(keepReplicas)
+				}
 			}
+			return cell
 		}
 	}
-	if output == OutputModel || output == OutputDiff {
-		grid(OpModel, s.Protocol, proto)
-	}
-	if output == OutputSim || output == OutputDiff {
-		grid(OpSim, s.Protocol, proto)
-	}
+	var extra []func(row, col int) CellSpec
 	if baseline != "" {
-		grid(OpSim, baseline, baseProto)
+		extra = append(extra, cellAt(OpSim, baseline, baseProto))
 	}
-
-	title := s.Title
-	if title == "" {
-		switch output {
-		case OutputModel:
-			title = fmt.Sprintf("Waste of %v: Model (%s)", proto, plat.Desc)
-		case OutputSim:
-			title = fmt.Sprintf("Waste of %v: Simulation (%d runs/cell)", proto, reps)
-		case OutputDiff:
-			title = fmt.Sprintf("%v: Difference WASTE_simul - WASTE_model", proto)
-		}
-	}
-	lo, hi := 0.0, 1.0
-	if output == OutputDiff {
-		lo, hi = -0.14, 0.14
-	}
-	if s.Render != nil {
-		lo, hi = s.Render.Lo, s.Render.Hi
-	}
+	cells := g.cells(cellAt(OpModel, s.Protocol, proto), cellAt(OpSim, s.Protocol, proto), extra...)
 
 	assemble := func(results []CellResult) ([]Artifact, error) {
-		rows, cols := len(alphas), len(mtbfMinutes)
-		z := sweep.NewMatrix(rows, cols)
-		for i := 0; i < rows*cols; i++ {
-			row, col := i/cols, i%cols
-			switch output {
-			case OutputModel:
-				z.Set(row, col, float64(results[i].Model.Waste))
-			case OutputSim:
-				z.Set(row, col, float64(results[i].Sim.WasteMean))
-			case OutputDiff:
-				diff := float64(results[rows*cols+i].Sim.WasteMean) - float64(results[i].Model.Waste)
-				z.Set(row, col, diff)
-			}
-		}
-		arts := []Artifact{{
-			Name: s.Name,
-			Heatmap: &plot.Heatmap{
-				Title:  title,
-				XLabel: "MTBF system (minutes)",
-				YLabel: "Ratio of time spent in Library Phase (alpha)",
-				Xs:     mtbfMinutes,
-				Ys:     alphas,
-				Z:      z,
-			},
-			RenderLo: lo,
-			RenderHi: hi,
-		}}
+		arts := []Artifact{s.heatmapArtifact(g, results)}
 		if s.Precision == nil {
 			return arts, nil
 		}
 		// CI columns are opt-in: they appear only on the _precision table a
 		// precision block requests, so existing artifacts stay byte-stable.
+		rows, cols := len(alphas), len(mtbfMinutes)
 		simOff := 0
 		if output == OutputDiff {
 			simOff = rows * cols
 		}
-		columns := []string{"mtbf_min", "alpha", "waste", "ci95", "runs", "reps_cap", "stopped", "cv_ratio"}
+		columns := append([]string{"mtbf_min", "alpha"}, precisionColumns...)
 		if baseline != "" {
 			columns = append(columns, baseline+" waste", "diff", "diff_ci95")
 		}
-		t := &plot.Table{Title: "Adaptive precision: " + title, Columns: columns}
+		t := &plot.Table{Title: "Adaptive precision: " + g.title, Columns: columns}
 		for i := 0; i < rows*cols; i++ {
 			row, col := i/cols, i%cols
 			res := results[simOff+i].Sim
-			cells := []string{
-				fmt.Sprintf("%g", mtbfMinutes[col]),
-				fmt.Sprintf("%g", alphas[row]),
-				fmt.Sprintf("%.4f", float64(res.WasteMean)),
-				fmt.Sprintf("%.4f", float64(res.WasteCI95)),
-				fmt.Sprintf("%d", res.Runs),
-				fmt.Sprintf("%d", res.RepsCap),
-				fmt.Sprintf("%v", res.Stopped),
-				fmt.Sprintf("%.3f", float64(res.CVVarianceRatio)),
-			}
+			cells := append([]string{fmt.Sprintf("%g", mtbfMinutes[col]), fmt.Sprintf("%g", alphas[row])},
+				precisionCells(res)...)
 			if baseline != "" {
 				base := results[simOff+rows*cols+i].Sim
 				iv, err := stats.PairedDifference(jsonFloats(res.Replicas), jsonFloats(base.Replicas), 0.05)
@@ -442,21 +508,15 @@ func resolveSeries(sp SeriesSpec) (model.WeakScaling, model.Protocol, string, er
 	if err != nil {
 		return model.WeakScaling{}, 0, "", err
 	}
-	if sp.AggregateEpochs != nil {
-		w.AggregateEpochs = *sp.AggregateEpochs
-	}
+	w.AggregateEpochs = valueOr(sp.AggregateEpochs, w.AggregateEpochs)
 	proto, err := ParseProtocol(sp.Protocol)
 	if err != nil {
 		return model.WeakScaling{}, 0, "", err
 	}
-	name := sp.Name
-	if name == "" {
-		name = proto.String()
-	}
-	return w, proto, name, nil
+	return w, proto, cmp.Or(sp.Name, proto.String()), nil
 }
 
-func (s *Spec) expandScaling() (*expansion, error) {
+func (s *Spec) expandScaling(_ *Campaign) (*expansion, error) {
 	if len(s.Series) == 0 {
 		return nil, fmt.Errorf("scaling specs need at least one series")
 	}
@@ -467,9 +527,9 @@ func (s *Spec) expandScaling() (*expansion, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("node axis must be non-empty")
 	}
-	if len(nodes)*len(s.Series) > maxScenarioCells {
-		return nil, fmt.Errorf("scaling grid has %d cells, exceeding the %d-cell limit",
-			len(nodes)*len(s.Series), maxScenarioCells)
+	n := len(nodes) * len(s.Series)
+	if err := s.checkCells(n); err != nil {
+		return nil, err
 	}
 	opts := s.Options.model()
 	type series struct {
@@ -477,7 +537,7 @@ func (s *Spec) expandScaling() (*expansion, error) {
 		study model.WeakScaling
 	}
 	resolved := make([]series, 0, len(s.Series))
-	var cells []CellSpec
+	cells := make([]CellSpec, 0, n)
 	for _, sp := range s.Series {
 		w, _, name, err := resolveSeries(sp)
 		if err != nil {
@@ -491,10 +551,7 @@ func (s *Spec) expandScaling() (*expansion, error) {
 			})
 		}
 	}
-	title := s.Title
-	if title == "" {
-		title = s.Name
-	}
+	title := cmp.Or(s.Title, s.Name)
 	assemble := func(results []CellResult) ([]Artifact, error) {
 		waste := &plot.LineChart{
 			Title: title + " - waste", XLabel: "Nodes", YLabel: "Waste", Xs: nodes, LogX: true,
@@ -525,20 +582,18 @@ func (s *Spec) expandScaling() (*expansion, error) {
 	return &expansion{spec: s, artifacts: []string{s.Name + "_waste", s.Name + "_faults"}, cells: cells, assemble: assemble}, nil
 }
 
-func (s *Spec) expandPoints() (*expansion, error) {
+func (s *Spec) expandPoints(_ *Campaign) (*expansion, error) {
 	if len(s.Rows) == 0 {
 		return nil, fmt.Errorf("points specs need at least one row")
 	}
-	var cells []CellSpec
+	if err := s.checkCells(len(s.Rows)); err != nil {
+		return nil, err
+	}
+	cells := make([]CellSpec, 0, len(s.Rows))
 	labels := make([]string, 0, len(s.Rows))
 	opts := s.Options.model()
 	for _, row := range s.Rows {
-		nodes := 0.0
-		if row.Nodes != nil {
-			nodes = *row.Nodes
-		} else if s.AtNodes != nil {
-			nodes = *s.AtNodes
-		}
+		nodes := valueOr(row.Nodes, valueOr(s.AtNodes, 0))
 		if nodes <= 0 {
 			return nil, fmt.Errorf("row %q needs nodes > 0 (set nodes or at_nodes)", row.Label)
 		}
@@ -552,10 +607,7 @@ func (s *Spec) expandPoints() (*expansion, error) {
 		})
 		labels = append(labels, row.Label)
 	}
-	title := s.Title
-	if title == "" {
-		title = s.Name
-	}
+	title := cmp.Or(s.Title, s.Name)
 	assemble := func(results []CellResult) ([]Artifact, error) {
 		t := &plot.Table{
 			Title:   title,
@@ -571,7 +623,7 @@ func (s *Spec) expandPoints() (*expansion, error) {
 	return &expansion{spec: s, artifacts: []string{s.Name}, cells: cells, assemble: assemble}, nil
 }
 
-func (s *Spec) expandPeriods() (*expansion, error) {
+func (s *Spec) expandPeriods(_ *Campaign) (*expansion, error) {
 	costs := s.CkptCosts
 	if len(costs) == 0 {
 		costs = []float64{model.Minute, 10 * model.Minute}
@@ -580,14 +632,15 @@ func (s *Spec) expandPeriods() (*expansion, error) {
 	if len(mtbfs) == 0 {
 		mtbfs = []float64{model.Hour, 6 * model.Hour, model.Day}
 	}
-	d := model.Minute
-	if s.Downtime != nil {
-		d = *s.Downtime
-	}
+	d := valueOr(s.Downtime, model.Minute)
 	if d < 0 {
 		return nil, fmt.Errorf("downtime must be non-negative")
 	}
-	var cells []CellSpec
+	n := len(costs) * len(mtbfs)
+	if err := s.checkCells(n); err != nil {
+		return nil, err
+	}
+	cells := make([]CellSpec, 0, n)
 	for _, cost := range costs {
 		for _, mu := range mtbfs {
 			// The paper's convention R = C: recovery reloads what was saved.
@@ -596,10 +649,7 @@ func (s *Spec) expandPeriods() (*expansion, error) {
 			})
 		}
 	}
-	title := s.Title
-	if title == "" {
-		title = fmt.Sprintf("Optimal checkpoint periods: Eq.(11) vs Young vs Daly (D=%s, R=C)", fmtDur(d))
-	}
+	title := cmp.Or(s.Title, fmt.Sprintf("Optimal checkpoint periods: Eq.(11) vs Young vs Daly (D=%s, R=C)", fmtDur(d)))
 	assemble := func(results []CellResult) ([]Artifact, error) {
 		t := &plot.Table{
 			Title: title,
@@ -635,22 +685,15 @@ const (
 	VariantSafeguard = "safeguard"
 )
 
-func (s *Spec) expandAblation() (*expansion, error) {
+func (s *Spec) expandAblation(_ *Campaign) (*expansion, error) {
 	if s.Variant != VariantEpochs && s.Variant != VariantSafeguard {
 		return nil, fmt.Errorf("ablation variant must be %q or %q, got %q", VariantEpochs, VariantSafeguard, s.Variant)
 	}
-	platformName := s.Platform
-	if platformName == "" {
-		platformName = "paper-fig8-const-ckpt"
-	}
-	plat, err := LookupScalingPlatform(platformName)
+	plat, err := LookupScalingPlatform(cmp.Or(s.Platform, "paper-fig8-const-ckpt"))
 	if err != nil {
 		return nil, err
 	}
-	protocol := s.Protocol
-	if protocol == "" {
-		protocol = ProtoAbft
-	}
+	protocol := cmp.Or(s.Protocol, ProtoAbft)
 	if _, err := ParseProtocol(protocol); err != nil {
 		return nil, err
 	}
@@ -661,9 +704,13 @@ func (s *Spec) expandAblation() (*expansion, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("node axis must be non-empty")
 	}
+	n := 2 * len(nodes)
+	if err := s.checkCells(n); err != nil {
+		return nil, err
+	}
 	opts := s.Options.model()
 
-	var cells []CellSpec
+	cells := make([]CellSpec, 0, n)
 	var columns []string
 	var title string
 	switch s.Variant {
@@ -694,9 +741,7 @@ func (s *Spec) expandAblation() (*expansion, error) {
 		columns = []string{"nodes", "waste no safeguard", "waste safeguard", "ABFT active"}
 		title = fmt.Sprintf("Ablation: composite waste with and without the ABFT-activation safeguard (%s)", plat.Desc)
 	}
-	if s.Title != "" {
-		title = s.Title
-	}
+	title = cmp.Or(s.Title, title)
 	variant := s.Variant
 	assemble := func(results []CellResult) ([]Artifact, error) {
 		t := &plot.Table{Title: title, Columns: columns}
@@ -722,23 +767,12 @@ func (s *Spec) expandSensitivity(c *Campaign) (*expansion, error) {
 	if len(s.Cases) == 0 {
 		return nil, fmt.Errorf("sensitivity specs need at least one case")
 	}
-	platformName := s.Platform
-	if platformName == "" {
-		platformName = "paper-fig7"
-	}
-	plat, err := LookupPlatform(platformName)
+	_, p, err := s.fixedPlatform()
 	if err != nil {
 		return nil, err
 	}
-	p := s.PlatformOverrides.apply(plat.Params)
-	p.Mu = 2 * model.Hour
-	if s.MTBF != nil {
-		p.Mu = *s.MTBF
-	}
-	p.Alpha = 0.8
-	if s.Alpha != nil {
-		p.Alpha = *s.Alpha
-	}
+	p.Mu = valueOr(s.MTBF, 2*model.Hour)
+	p.Alpha = valueOr(s.Alpha, 0.8)
 	reps := s.repsOr(c)
 	seed := s.seed(c)
 	opts := s.Options.model()
@@ -755,7 +789,11 @@ func (s *Spec) expandSensitivity(c *Campaign) (*expansion, error) {
 	// CIs; keeping the per-replica vectors enables that.
 	keepReplicas := s.Precision != nil && s.ShareTraces
 
-	var cells []CellSpec
+	n := len(s.Cases) * len(model.Protocols)
+	if err := s.checkCells(n); err != nil {
+		return nil, err
+	}
+	cells := make([]CellSpec, 0, n)
 	for i, cs := range s.Cases {
 		if cs.Name == "" {
 			return nil, fmt.Errorf("case %d needs a name", i)
@@ -785,15 +823,9 @@ func (s *Spec) expandSensitivity(c *Campaign) (*expansion, error) {
 			cells = append(cells, cell)
 		}
 	}
-	label := s.Label
-	if label == "" {
-		label = "distribution"
-	}
-	title := s.Title
-	if title == "" {
-		title = fmt.Sprintf("Sensitivity: simulated waste vs failure process at equal MTBF (mu=%s, alpha=%g)",
-			fmtDur(p.Mu), p.Alpha)
-	}
+	label := cmp.Or(s.Label, "distribution")
+	title := cmp.Or(s.Title, fmt.Sprintf("Sensitivity: simulated waste vs failure process at equal MTBF (mu=%s, alpha=%g)",
+		fmtDur(p.Mu), p.Alpha))
 	cases := s.Cases
 	assemble := func(results []CellResult) ([]Artifact, error) {
 		t := &plot.Table{
@@ -814,18 +846,12 @@ func (s *Spec) expandSensitivity(c *Campaign) (*expansion, error) {
 		}
 		pt := &plot.Table{
 			Title:   "Adaptive precision: " + title,
-			Columns: []string{label, "protocol", "waste", "ci95", "runs", "reps_cap", "stopped", "cv_ratio"},
+			Columns: append([]string{label, "protocol"}, precisionColumns...),
 		}
 		for i, cs := range cases {
 			for j, proto := range model.Protocols {
 				res := results[i*len(model.Protocols)+j].Sim
-				pt.AddRow(cs.Name, ProtocolName(proto),
-					fmt.Sprintf("%.4f", float64(res.WasteMean)),
-					fmt.Sprintf("%.4f", float64(res.WasteCI95)),
-					fmt.Sprintf("%d", res.Runs),
-					fmt.Sprintf("%d", res.RepsCap),
-					fmt.Sprintf("%v", res.Stopped),
-					fmt.Sprintf("%.3f", float64(res.CVVarianceRatio)))
+				pt.AddRow(append([]string{cs.Name, ProtocolName(proto)}, precisionCells(res)...)...)
 			}
 		}
 		arts = append(arts, Artifact{Name: s.Name + "_precision", Table: pt})
@@ -876,40 +902,19 @@ func (s *Spec) expandSensitivity(c *Campaign) (*expansion, error) {
 // evaluates the analytic model, "sim" Monte-Carlo campaigns, "diff" both
 // (simulated minus model waste), mirroring the fail-stop heatmap kind.
 func (s *Spec) expandSilentHeatmap(c *Campaign) (*expansion, error) {
-	output := s.Output
-	if output == "" {
-		output = OutputModel
+	output, err := s.output(OutputModel, OutputSim, OutputDiff)
+	if err != nil {
+		return nil, err
 	}
-	if output != OutputModel && output != OutputSim && output != OutputDiff {
-		return nil, fmt.Errorf("unknown output %q (want model, sim or diff)", s.Output)
-	}
-	if output == OutputModel {
-		switch {
-		case s.Distribution != nil:
-			return nil, fmt.Errorf("field %q only applies to output sim or diff", "distribution")
-		case s.Seed != nil:
-			return nil, fmt.Errorf("field %q only applies to output sim or diff", "seed")
-		case s.Reps != 0:
-			return nil, fmt.Errorf("field %q only applies to output sim or diff", "reps")
-		}
-	}
-	recovery := s.Recovery
-	if recovery == "" {
-		recovery = model.SilentBackward.String()
-	}
+	recovery := cmp.Or(s.Recovery, model.SilentBackward.String())
 	mode, err := model.ParseSilentRecovery(recovery)
 	if err != nil {
 		return nil, err
 	}
-	platformName := s.Platform
-	if platformName == "" {
-		platformName = "paper-fig7"
-	}
-	plat, err := LookupPlatform(platformName)
+	plat, tmpl, err := s.fixedPlatform()
 	if err != nil {
 		return nil, err
 	}
-	tmpl := s.PlatformOverrides.apply(plat.Params)
 	mtbeMinutes, err := s.MTBEMinutes.Resolve(sweep.Linspace(60, 240, 19))
 	if err != nil {
 		return nil, err
@@ -921,104 +926,53 @@ func (s *Spec) expandSilentHeatmap(c *Campaign) (*expansion, error) {
 	if len(mtbeMinutes) == 0 || len(verifyCosts) == 0 {
 		return nil, fmt.Errorf("silent_heatmap axes must be non-empty")
 	}
-	if len(mtbeMinutes)*len(verifyCosts) > maxScenarioCells {
-		return nil, fmt.Errorf("silent_heatmap grid has %d cells, exceeding the %d-cell limit",
-			len(mtbeMinutes)*len(verifyCosts), maxScenarioCells)
+	if err := s.checkCells(len(mtbeMinutes) * len(verifyCosts)); err != nil {
+		return nil, err
 	}
 	// The platform supplies the work volume and the checkpoint/restore
 	// costs; the silent block overrides them and the silent-only knobs.
 	base := model.SilentParams{W: tmpl.T0, C: tmpl.C, R: tmpl.R, F: 30, Detect: 10}
 	if sp := s.Silent; sp != nil {
-		setF := func(dst *float64, src *float64) {
-			if src != nil {
-				*dst = *src
-			}
-		}
-		setF(&base.W, sp.Work)
-		setF(&base.C, sp.Ckpt)
-		setF(&base.R, sp.Restore)
-		setF(&base.F, sp.Correct)
-		setF(&base.Detect, sp.Detect)
-		setF(&base.Period, sp.Period)
+		base.W = valueOr(sp.Work, base.W)
+		base.C = valueOr(sp.Ckpt, base.C)
+		base.R = valueOr(sp.Restore, base.R)
+		base.F = valueOr(sp.Correct, base.F)
+		base.Detect = valueOr(sp.Detect, base.Detect)
+		base.Period = valueOr(sp.Period, base.Period)
 	}
 	reps := s.repsOr(c)
 	seed := s.seed(c)
 	dist := distOrExp(s.Distribution)
-
-	silentAt := func(row, col int) *SilentCell {
-		p := base
-		p.V = verifyCosts[row]
-		p.MuSilent = mtbeMinutes[col] * model.Minute
-		return &SilentCell{Params: p, Recovery: recovery}
+	head := fmt.Sprintf("Silent-error waste, %s recovery", mode)
+	g := &heatmapGrid{
+		output: output,
+		title:  s.heatmapTitle(output, head, head, plat.Desc, reps),
+		xLabel: "MTBE silent errors (minutes)",
+		yLabel: "Verification cost (seconds)",
+		xs:     mtbeMinutes,
+		ys:     verifyCosts,
+		modelWaste: func(r CellResult) float64 {
+			return float64(r.SilentModel.Waste)
+		},
 	}
-	var cells []CellSpec
-	grid := func(op string) {
-		for row := range verifyCosts {
-			for col := range mtbeMinutes {
-				cell := CellSpec{Op: op, Silent: silentAt(row, col)}
-				if op == OpSilentSim {
-					cell.Reps = reps
-					cell.Seed = rng.At(seed, uint64(row), uint64(col))
-					cell.Dist = dist
-				}
-				cells = append(cells, cell)
+
+	cellAt := func(op string) func(row, col int) CellSpec {
+		return func(row, col int) CellSpec {
+			p := base
+			p.V = verifyCosts[row]
+			p.MuSilent = mtbeMinutes[col] * model.Minute
+			cell := CellSpec{Op: op, Silent: &SilentCell{Params: p, Recovery: recovery}}
+			if op == OpSilentSim {
+				cell.Reps = reps
+				cell.Seed = rng.At(seed, uint64(row), uint64(col))
+				cell.Dist = dist
 			}
+			return cell
 		}
 	}
-	if output == OutputModel || output == OutputDiff {
-		grid(OpSilentModel)
-	}
-	if output == OutputSim || output == OutputDiff {
-		grid(OpSilentSim)
-	}
-
-	title := s.Title
-	if title == "" {
-		switch output {
-		case OutputModel:
-			title = fmt.Sprintf("Silent-error waste, %s recovery: Model (%s)", mode, plat.Desc)
-		case OutputSim:
-			title = fmt.Sprintf("Silent-error waste, %s recovery: Simulation (%d runs/cell)", mode, reps)
-		case OutputDiff:
-			title = fmt.Sprintf("Silent-error waste, %s recovery: Difference WASTE_simul - WASTE_model", mode)
-		}
-	}
-	lo, hi := 0.0, 1.0
-	if output == OutputDiff {
-		lo, hi = -0.14, 0.14
-	}
-	if s.Render != nil {
-		lo, hi = s.Render.Lo, s.Render.Hi
-	}
-
+	cells := g.cells(cellAt(OpSilentModel), cellAt(OpSilentSim))
 	assemble := func(results []CellResult) ([]Artifact, error) {
-		rows, cols := len(verifyCosts), len(mtbeMinutes)
-		z := sweep.NewMatrix(rows, cols)
-		for i := 0; i < rows*cols; i++ {
-			row, col := i/cols, i%cols
-			switch output {
-			case OutputModel:
-				z.Set(row, col, float64(results[i].SilentModel.Waste))
-			case OutputSim:
-				z.Set(row, col, float64(results[i].Sim.WasteMean))
-			case OutputDiff:
-				diff := float64(results[rows*cols+i].Sim.WasteMean) - float64(results[i].SilentModel.Waste)
-				z.Set(row, col, diff)
-			}
-		}
-		return []Artifact{{
-			Name: s.Name,
-			Heatmap: &plot.Heatmap{
-				Title:  title,
-				XLabel: "MTBE silent errors (minutes)",
-				YLabel: "Verification cost (seconds)",
-				Xs:     mtbeMinutes,
-				Ys:     verifyCosts,
-				Z:      z,
-			},
-			RenderLo: lo,
-			RenderHi: hi,
-		}}, nil
+		return []Artifact{s.heatmapArtifact(g, results)}, nil
 	}
 	return &expansion{spec: s, artifacts: []string{s.Name}, cells: cells, assemble: assemble}, nil
 }
@@ -1031,22 +985,9 @@ func (s *Spec) expandSilentHeatmap(c *Campaign) (*expansion, error) {
 // that resolved schedule, so the chart reports simulated waste with the
 // model's schedule baked into each cell spec.
 func (s *Spec) expandMultiLevelScaling(c *Campaign) (*expansion, error) {
-	output := s.Output
-	if output == "" {
-		output = OutputModel
-	}
-	if output != OutputModel && output != OutputSim {
-		return nil, fmt.Errorf("unknown output %q (want model or sim)", s.Output)
-	}
-	if output == OutputModel {
-		switch {
-		case s.Distribution != nil:
-			return nil, fmt.Errorf("field %q only applies to output sim", "distribution")
-		case s.Seed != nil:
-			return nil, fmt.Errorf("field %q only applies to output sim", "seed")
-		case s.Reps != 0:
-			return nil, fmt.Errorf("field %q only applies to output sim", "reps")
-		}
+	output, err := s.output(OutputModel, OutputSim)
+	if err != nil {
+		return nil, err
 	}
 	if len(s.MLSeries) == 0 {
 		return nil, fmt.Errorf("multilevel_scaling specs need at least one ml_series entry")
@@ -1062,9 +1003,8 @@ func (s *Spec) expandMultiLevelScaling(c *Campaign) (*expansion, error) {
 	if output == OutputSim {
 		budget *= 2
 	}
-	if budget > maxScenarioCells {
-		return nil, fmt.Errorf("multilevel_scaling grid has %d cells, exceeding the %d-cell limit",
-			budget, maxScenarioCells)
+	if err := s.checkCells(budget); err != nil {
+		return nil, err
 	}
 	reps := s.repsOr(c)
 	seed := s.seed(c)
@@ -1075,33 +1015,21 @@ func (s *Spec) expandMultiLevelScaling(c *Campaign) (*expansion, error) {
 		params []model.MultiLevelParams // per node, schedule unresolved
 	}
 	resolved := make([]series, 0, len(s.MLSeries))
-	var cells []CellSpec
+	cells := make([]CellSpec, 0, budget)
 	for i, sp := range s.MLSeries {
 		if sp.Name == "" {
 			return nil, fmt.Errorf("ml_series entry %d needs a name", i)
 		}
-		mtbfAtBase := 0.0
-		if sp.MTBFAtBase != nil {
-			mtbfAtBase = *sp.MTBFAtBase
-		}
+		mtbfAtBase := valueOr(sp.MTBFAtBase, 0)
 		if mtbfAtBase <= 0 {
 			return nil, fmt.Errorf("ml_series %q needs mtbf_at_base > 0", sp.Name)
 		}
-		baseNodes := 1.0
-		if sp.BaseNodes != nil {
-			baseNodes = *sp.BaseNodes
-		}
+		baseNodes := valueOr(sp.BaseNodes, 1)
 		if baseNodes <= 0 {
 			return nil, fmt.Errorf("ml_series %q needs base_nodes > 0", sp.Name)
 		}
-		work := model.Week
-		if sp.Work != nil {
-			work = *sp.Work
-		}
-		downtime := model.Minute
-		if sp.Downtime != nil {
-			downtime = *sp.Downtime
-		}
+		work := valueOr(sp.Work, model.Week)
+		downtime := valueOr(sp.Downtime, model.Minute)
 		sr := series{name: sp.Name}
 		for _, n := range nodes {
 			if n <= 0 {
@@ -1134,10 +1062,7 @@ func (s *Spec) expandMultiLevelScaling(c *Campaign) (*expansion, error) {
 		}
 	}
 
-	title := s.Title
-	if title == "" {
-		title = s.Name
-	}
+	title := cmp.Or(s.Title, s.Name)
 	assemble := func(results []CellResult) ([]Artifact, error) {
 		waste := &plot.LineChart{
 			Title: title + " - waste", XLabel: "Nodes", YLabel: "Waste", Xs: nodes, LogX: true,

@@ -68,7 +68,7 @@ var (
 	scalingPlatforms = map[string]ScalingPlatform{
 		// Figure 8 with scalable-storage (constant-cost) checkpoints: the
 		// variant under which the published curve shapes stay feasible at
-		// 10^6 nodes (DESIGN.md §5-S3).
+		// 10^6 nodes (docs/PAPER_MAP.md, Caveats).
 		"paper-fig8-const-ckpt": {
 			Name:    "paper-fig8-const-ckpt",
 			Desc:    "Fig. 8 scenario, C const",

@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 
 	"abftckpt/internal/model"
 	"abftckpt/internal/sweep"
@@ -125,10 +124,7 @@ const (
 
 // seed returns the campaign-level default seed.
 func (c *Campaign) seed() uint64 {
-	if c.Seed != nil {
-		return *c.Seed
-	}
-	return DefaultSeed
+	return valueOr(c.Seed, DefaultSeed)
 }
 
 // reps returns the campaign-level default repetition count.
@@ -591,9 +587,3 @@ func (d DistSpec) Validate() error {
 		return fmt.Errorf("scenario: unknown distribution %q (want exp, weibull, gamma, lognormal or cascade)", d.Name)
 	}
 }
-
-// kindList names all spec kinds for error messages.
-var kindList = strings.Join([]string{
-	KindHeatmap, KindScaling, KindPoints, KindPeriods, KindAblation, KindSensitivity,
-	KindSilentHeatmap, KindMultiLevelScaling,
-}, ", ")

@@ -31,9 +31,15 @@ func TestLoadValid(t *testing.T) {
 	if got := CellCount(c, c.Scenarios[0]); got != 4 {
 		t.Fatalf("cell count = %d, want 4", got)
 	}
+	// An empty list counts as unset, so a kind-foreign "series": [] passes.
+	emptyForeign := `{"name":"t","scenarios":[{"name":"h","kind":"heatmap","protocol":"abft","series":[]}]}`
+	if _, err := Load(strings.NewReader(emptyForeign)); err != nil {
+		t.Fatalf("empty kind-foreign list rejected: %v", err)
+	}
 }
 
 func TestLoadErrors(t *testing.T) {
+	axis300 := "[" + strings.TrimSuffix(strings.Repeat("60,", 300), ",") + "]"
 	cases := []struct {
 		name string
 		json string
@@ -72,6 +78,7 @@ func TestLoadErrors(t *testing.T) {
 		{"analytic kind with seed", `{"name":"t","scenarios":[{"name":"a","kind":"periods","seed":1}]}`, `field "seed" does not apply`},
 		{"model heatmap with distribution", `{"name":"t","scenarios":[{"name":"a","kind":"heatmap","protocol":"abft","distribution":{"name":"weibull","shape":0.7}}]}`, `only applies to output sim or diff`},
 		{"empty axis values", `{"name":"t","scenarios":[{"name":"a","kind":"heatmap","protocol":"abft","output":"sim","alphas":{"values":[]}}]}`, "non-empty"},
+		{"periods over the cell limit", `{"name":"t","scenarios":[{"name":"a","kind":"periods","ckpt_costs":` + axis300 + `,"mtbfs":` + axis300 + `}]}`, "90000 cells, exceeding the 20000-cell limit"},
 		{"artifact name collision", `{"name":"t","scenarios":[{"name":"x","kind":"scaling","series":[{"platform":"paper-fig10","protocol":"pure"}]},{"name":"x_waste","kind":"periods"}]}`, `both produce artifact "x_waste"`},
 	}
 	for _, tc := range cases {
@@ -84,6 +91,41 @@ func TestLoadErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestCellLimitEveryKind expands one spec per kind whose grid exceeds
+// maxScenarioCells: every kind must refuse it before building cells.
+func TestCellLimitEveryKind(t *testing.T) {
+	values := func(n int) *Axis {
+		a := &Axis{Values: make([]float64, n)}
+		for i := range a.Values {
+			a.Values[i] = float64(i + 1)
+		}
+		return a
+	}
+	over := map[string]*Spec{
+		KindHeatmap:       {Protocol: ProtoAbft, MTBFMinutes: values(200), Alphas: values(101)},
+		KindScaling:       {Nodes: values(10_001), Series: make([]SeriesSpec, 2)},
+		KindPoints:        {Rows: make([]PointSpec, maxScenarioCells+1)},
+		KindPeriods:       {CkptCosts: values(150).Values, MTBFs: values(150).Values},
+		KindAblation:      {Variant: VariantEpochs, Nodes: values(10_001)},
+		KindSensitivity:   {Cases: make([]CaseSpec, maxScenarioCells/3+1)},
+		KindSilentHeatmap: {MTBEMinutes: values(200), VerifyCosts: values(101)},
+		KindMultiLevelScaling: {Output: OutputSim, Nodes: values(5_001),
+			MLSeries: make([]MLSeriesSpec, 2)},
+	}
+	c := &Campaign{Name: "t"}
+	for _, k := range kinds {
+		s, ok := over[k.name]
+		if !ok {
+			t.Errorf("kind %q has no oversized case", k.name)
+			continue
+		}
+		s.Name, s.Kind = "x", k.name
+		if _, err := s.expand(c); err == nil || !strings.Contains(err.Error(), "-cell limit") {
+			t.Errorf("%s: want a cell-limit error, got %v", k.name, err)
+		}
 	}
 }
 

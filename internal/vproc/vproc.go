@@ -12,7 +12,7 @@
 // triggers the protocol's recovery path (rollback+replay in GENERAL phases,
 // checksum reconstruction in LIBRARY phases). This is the cooperative
 // equivalent of a process crash in a BSP application and keeps the recovery
-// semantics exact; see DESIGN.md §5-S1.
+// semantics exact.
 package vproc
 
 import (
