@@ -6,8 +6,10 @@
 //
 // Reports carry a calibration measurement — a fixed, dependency-free
 // CPU-bound workload — so ns/op comparisons between machines of different
-// speeds can be normalized by the calibration ratio; allocation counts are
-// deterministic and compared exactly.
+// speeds can be normalized by the calibration ratio. Allocation counts are
+// compared exactly, though they are not fully deterministic: the campaign
+// benchmarks spread by 1-2 allocs/op between runs of one tree (see
+// ROADMAP.md, item 1).
 package bench
 
 import (

@@ -323,9 +323,9 @@ func Suite() []Benchmark {
 					}
 				}
 				// One untimed run first: worker-goroutine and scheduler
-				// warm-up allocations land outside the measurement, keeping
-				// allocs/op deterministic across measurement budgets (the
-				// alloc gate is exact).
+				// warm-up allocations land outside the measurement, so
+				// allocs/op does not grow with the measurement budget (the
+				// alloc gate is exact; a 1-2 alloc spread remains).
 				run()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

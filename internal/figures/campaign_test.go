@@ -1,24 +1,115 @@
+// Package figures tests the paper's evaluation as the committed campaign
+// files define it: examples/campaigns/paper.json (Section V: the Figure 7
+// heatmaps, the Figures 8-10 weak-scaling charts and the tables), and the
+// silent-error and multi-level companions silent.json and multilevel.json.
+// The tests load those files, shrink the simulation-backed scenarios and
+// the node axes to test size, run them through the scenario engine, and
+// check the published shapes and the golden CSVs. The package has no
+// non-test code: the JSON files are the only definition of the evaluation.
 package figures
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"abftckpt/internal/scenario"
 )
 
-// paperCampaignPath is the committed JSON rendition of PaperCampaign; it is
-// what `ftcampaign -spec examples/campaigns/paper.json` runs.
-var paperCampaignPath = filepath.Join("..", "..", "examples", "campaigns", "paper.json")
+// campaignPath is the committed campaign file of the given base name.
+func campaignPath(name string) string {
+	return filepath.Join("..", "..", "examples", "campaigns", name+".json")
+}
 
-// TestPaperCampaignValidates checks the full evaluation campaign expands
-// cleanly and names every artifact of the paper evaluation.
+// shrink edits one loaded scenario in place before it runs; nil runs the
+// scenario as committed.
+type shrink func(*scenario.Spec)
+
+// shrinks applies several shrinks in order.
+func shrinks(fs ...shrink) shrink {
+	return func(s *scenario.Spec) {
+		for _, f := range fs {
+			f(s)
+		}
+	}
+}
+
+// withNodes replaces the node axis.
+func withNodes(nodes ...float64) shrink {
+	return func(s *scenario.Spec) { s.Nodes = &scenario.Axis{Values: nodes} }
+}
+
+// withReps sets the repetition count and seed of a simulation-backed
+// scenario.
+func withReps(reps int, seed uint64) shrink {
+	return func(s *scenario.Spec) { s.Reps, s.Seed = reps, &seed }
+}
+
+// fig7Grid reduces a Figure 7 heatmap to MTBF 60/120/240 min x alpha
+// 0/0.5/1.
+func fig7Grid(s *scenario.Spec) {
+	s.MTBFMinutes = &scenario.Axis{Values: []float64{60, 120, 240}}
+	s.Alphas = &scenario.Axis{Values: []float64{0, 0.5, 1}}
+}
+
+// silentGrid reduces a silent-error heatmap to MTBE 60/120/240 min x
+// verification cost 30/120/600 s.
+func silentGrid(s *scenario.Spec) {
+	s.MTBEMinutes = &scenario.Axis{Values: []float64{60, 120, 240}}
+	s.VerifyCosts = &scenario.Axis{Values: []float64{30, 120, 600}}
+}
+
+// loadScenarios loads a committed campaign file and keeps the scenarios
+// named in run (in file order), each shrunk by its entry.
+func loadScenarios(t *testing.T, file string, run map[string]shrink) *scenario.Campaign {
+	t.Helper()
+	c, err := scenario.LoadFile(campaignPath(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []*scenario.Spec
+	for _, s := range c.Scenarios {
+		f, ok := run[s.Name]
+		if !ok {
+			continue
+		}
+		if f != nil {
+			f(s)
+		}
+		kept = append(kept, s)
+	}
+	if len(kept) != len(run) {
+		t.Fatalf("%s.json has %d of the %d scenarios the test runs", file, len(kept), len(run))
+	}
+	c.Scenarios = kept
+	return c
+}
+
+// runScenarios runs the scenarios of a committed campaign file named in
+// run, shrunk, in one campaign run and returns the artifacts by name.
+func runScenarios(t *testing.T, file string, run map[string]shrink) map[string]scenario.Artifact {
+	t.Helper()
+	return runCampaign(t, loadScenarios(t, file, run))
+}
+
+// runCampaign runs a loaded campaign and returns the artifacts by name.
+func runCampaign(t *testing.T, c *scenario.Campaign) map[string]scenario.Artifact {
+	t.Helper()
+	rep, err := (&scenario.Runner{}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts := make(map[string]scenario.Artifact, len(rep.Artifacts))
+	for _, a := range rep.Artifacts {
+		arts[a.Name] = a
+	}
+	return arts
+}
+
+// TestPaperCampaignValidates checks paper.json loads through the strict
+// parser and names every artifact of the paper evaluation.
 func TestPaperCampaignValidates(t *testing.T) {
-	c := PaperCampaign(100, 42, true)
-	if err := c.Validate(); err != nil {
+	c, err := scenario.LoadFile(campaignPath("paper"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
@@ -35,49 +126,12 @@ func TestPaperCampaignValidates(t *testing.T) {
 			t.Errorf("campaign is missing scenario %q", want)
 		}
 	}
-	// Model-only mode drops exactly the simulation-backed scenarios.
-	modelOnly := PaperCampaign(100, 42, false)
-	if err := modelOnly.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(c.Scenarios)-len(modelOnly.Scenarios), 5; got != want {
-		t.Errorf("withSim adds %d scenarios, want %d", got, want)
-	}
-}
-
-// TestPaperCampaignFile pins the committed paper.json to the PaperCampaign
-// builder (run with -update after changing either).
-func TestPaperCampaignFile(t *testing.T) {
-	c := PaperCampaign(100, 42, true)
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if *update {
-		if err := os.WriteFile(paperCampaignPath, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(paperCampaignPath)
-	if err != nil {
-		t.Fatalf("missing %s (run with -update): %v", paperCampaignPath, err)
-	}
-	if !bytes.Equal(want, data) {
-		t.Errorf("%s diverged from figures.PaperCampaign (run with -update)", paperCampaignPath)
-	}
-	// The committed file must load through the strict JSON parser.
-	if _, err := scenario.LoadFile(paperCampaignPath); err != nil {
-		t.Errorf("committed campaign does not load: %v", err)
-	}
 }
 
 // TestQuickstartCampaignLoads checks the hand-written quickstart example
 // (the one CI runs) validates against the engine.
 func TestQuickstartCampaignLoads(t *testing.T) {
-	path := filepath.Join("..", "..", "examples", "campaigns", "quickstart.json")
-	c, err := scenario.LoadFile(path)
+	c, err := scenario.LoadFile(campaignPath("quickstart"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,24 @@
 package figures
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
-	"abftckpt/internal/model"
+	"abftckpt/internal/scenario"
 )
 
-func smallFig7Config(proto model.Protocol) Fig7Config {
-	return Fig7Config{
-		Protocol:    proto,
-		MTBFMinutes: []float64{60, 120, 240},
-		Alphas:      []float64{0, 0.5, 1},
-		Reps:        30,
-		Seed:        1,
-	}
+// runPaper runs one paper.json scenario, shrunk, and returns its artifacts
+// by name.
+func runPaper(t *testing.T, name string, f shrink) map[string]scenario.Artifact {
+	t.Helper()
+	return runScenarios(t, "paper", map[string]shrink{name: f})
 }
 
 func TestFig7ModelShape(t *testing.T) {
-	h := Fig7Model(smallFig7Config(model.PurePeriodicCkpt))
+	h := runPaper(t, "fig7a_pure_model", fig7Grid)["fig7a_pure_model"].Heatmap
 	if h.Z.Rows != 3 || h.Z.Cols != 3 {
 		t.Fatalf("grid shape %dx%d", h.Z.Rows, h.Z.Cols)
 	}
@@ -37,7 +36,7 @@ func TestFig7ModelShape(t *testing.T) {
 }
 
 func TestFig7CompositeAlphaGradient(t *testing.T) {
-	h := Fig7Model(smallFig7Config(model.AbftPeriodicCkpt))
+	h := runPaper(t, "fig7e_abft_model", fig7Grid)["fig7e_abft_model"].Heatmap
 	// At fixed MTBF, more library time means less waste for the composite
 	// (Figure 7e: waste decreases toward alpha=1).
 	for col := 0; col < 3; col++ {
@@ -52,8 +51,8 @@ func TestFig7DiffSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	h := Fig7Diff(smallFig7Config(model.AbftPeriodicCkpt))
-	lo, hi := h.Z.MinMax()
+	h := runPaper(t, "fig7f_abft_diff", shrinks(fig7Grid, withReps(30, 1)))["fig7f_abft_diff"].Heatmap
+	lo, hi := slices.Min(h.Z.Data), slices.Max(h.Z.Data)
 	// Model and simulation must correspond within the paper's bounds.
 	if lo < -0.13 || hi > 0.13 {
 		t.Errorf("diff out of bounds: [%v, %v]", lo, hi)
@@ -64,8 +63,9 @@ func TestFig7DiffSmall(t *testing.T) {
 }
 
 func TestFig8Charts(t *testing.T) {
-	nodes := []float64{1_000, 10_000, 100_000, 1_000_000}
-	waste, faults := Fig8(nodes)
+	nodes := paperNodes
+	arts := runPaper(t, "fig8", withNodes(nodes...))
+	waste, faults := arts["fig8_waste"].Chart, arts["fig8_faults"].Chart
 	if len(waste.Series) != 7 || len(faults.Series) != 7 {
 		t.Fatalf("series count: %d waste, %d faults", len(waste.Series), len(faults.Series))
 	}
@@ -106,8 +106,7 @@ func TestFig8Charts(t *testing.T) {
 }
 
 func TestFig9Charts(t *testing.T) {
-	nodes := []float64{1_000, 10_000, 100_000, 1_000_000}
-	waste, _ := Fig9(nodes)
+	waste := runPaper(t, "fig9", withNodes(paperNodes...))["fig9_waste"].Chart
 	byName := map[string][]float64{}
 	for _, s := range waste.Series {
 		byName[s.Name] = s.Values
@@ -126,8 +125,8 @@ func TestFig9Charts(t *testing.T) {
 }
 
 func TestFig10Charts(t *testing.T) {
-	nodes := []float64{10_000, 100_000, 1_000_000}
-	waste, faults := Fig10(nodes)
+	arts := runPaper(t, "fig10", withNodes(10_000, 100_000, 1_000_000))
+	waste, faults := arts["fig10_waste"].Chart, arts["fig10_faults"].Chart
 	if len(waste.Series) != 3 {
 		t.Fatalf("want 3 series, got %d", len(waste.Series))
 	}
@@ -156,13 +155,13 @@ func TestFig10Charts(t *testing.T) {
 }
 
 func TestFig10ParityTable(t *testing.T) {
-	tab := Fig10ParityTable()
+	tab := runPaper(t, "table_fig10_parity", nil)["table_fig10_parity"].Table
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	parse := func(s string) float64 {
 		var v float64
-		if _, err := fmtSscan(s, &v); err != nil {
+		if _, err := sscan(s, &v); err != nil {
 			t.Fatalf("parse %q: %v", s, err)
 		}
 		return v
@@ -179,7 +178,7 @@ func TestFig10ParityTable(t *testing.T) {
 }
 
 func TestPeriodTable(t *testing.T) {
-	tab := PeriodTable()
+	tab := runPaper(t, "table_periods", nil)["table_periods"].Table
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -196,20 +195,21 @@ func TestPeriodTable(t *testing.T) {
 }
 
 func TestAblationTables(t *testing.T) {
-	nodes := []float64{10_000, 1_000_000}
-	agg := AblationEpochAggregation(nodes)
+	nodes := withNodes(10_000, 1_000_000)
+	arts := runScenarios(t, "paper", map[string]shrink{"table_ablation_epochs": nodes, "table_ablation_safeguard": nodes})
+	agg := arts["table_ablation_epochs"].Table
 	if len(agg.Rows) != 2 {
 		t.Fatalf("aggregation rows = %d", len(agg.Rows))
 	}
-	sg := AblationSafeguard(nodes)
+	sg := arts["table_ablation_safeguard"].Table
 	if len(sg.Rows) != 2 {
 		t.Fatalf("safeguard rows = %d", len(sg.Rows))
 	}
 	// Safeguard can only help (or tie): its waste is <= the no-safeguard one.
 	for _, row := range sg.Rows {
 		var off, on float64
-		fmtSscan(row[1], &off)
-		fmtSscan(row[2], &on)
+		sscan(row[1], &off)
+		sscan(row[2], &on)
 		if on > off+1e-9 {
 			t.Errorf("safeguard hurt: %v > %v at nodes=%s", on, off, row[0])
 		}
@@ -220,32 +220,34 @@ func TestWeibullSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tab := WeibullSensitivity([]float64{0.7, 1}, 30, 5)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	c := loadScenarios(t, "paper", map[string]shrink{"table_weibull": withReps(30, 5)})
+	cases := c.Scenarios[0].Cases
+	tab := runCampaign(t, c)["table_weibull"].Table
+	if len(tab.Rows) != len(cases) {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(cases))
 	}
 	for _, row := range tab.Rows {
 		for _, cell := range row[1:] {
 			var v float64
-			if _, err := fmtSscan(cell, &v); err != nil || v < 0 || v > 1 {
+			if _, err := sscan(cell, &v); err != nil || v < 0 || v > 1 {
 				t.Errorf("implausible waste cell %q", cell)
 			}
 		}
 	}
 }
 
-// fmtSscan is a tiny indirection so tests parse the formatted cells the way
-// they were written.
-func fmtSscan(s string, v *float64) (int, error) {
-	return sscan(s, v)
+// sscan parses a float table cell.
+func sscan(s string, v *float64) (int, error) {
+	return fmt.Sscanf(s, "%f", v)
 }
 
 func TestDistributionSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	cases := DefaultDistCases()
-	tab := DistributionSensitivity(cases, 30, 5)
+	c := loadScenarios(t, "paper", map[string]shrink{"table_dist_sensitivity": withReps(30, 5)})
+	cases := c.Scenarios[0].Cases
+	tab := runCampaign(t, c)["table_dist_sensitivity"].Table
 	if len(tab.Rows) != len(cases) {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(cases))
 	}
@@ -255,7 +257,7 @@ func TestDistributionSensitivity(t *testing.T) {
 	for _, row := range tab.Rows {
 		for _, cell := range row[1:] {
 			var v float64
-			if _, err := fmtSscan(cell, &v); err != nil || v <= 0 || v >= 1 {
+			if _, err := sscan(cell, &v); err != nil || v <= 0 || v >= 1 {
 				t.Errorf("%s: implausible waste cell %q", row[0], cell)
 			}
 		}

@@ -10,8 +10,6 @@ import (
 	"io"
 	"math"
 	"strings"
-
-	"abftckpt/internal/sweep"
 )
 
 // Heatmap couples a result matrix with its axes and labels, matching the
@@ -21,7 +19,7 @@ type Heatmap struct {
 	XLabel string
 	YLabel string
 	Xs, Ys []float64
-	Z      *sweep.Matrix // Rows = len(Ys), Cols = len(Xs)
+	Z      *Matrix // Rows = len(Ys), Cols = len(Xs)
 }
 
 // WriteCSV emits the heatmap as a matrix CSV: first row "ylabel\xlabel, x0,

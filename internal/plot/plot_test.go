@@ -5,12 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"abftckpt/internal/sweep"
 )
 
 func sampleHeatmap() *Heatmap {
-	z := sweep.NewMatrix(2, 3)
+	z := NewMatrix(2, 3)
 	z.Set(0, 0, 0)
 	z.Set(0, 1, 0.5)
 	z.Set(0, 2, 1)
@@ -65,7 +63,7 @@ func TestHeatmapASCIIAutoScaleAndNaN(t *testing.T) {
 		t.Error("NaN should render as ?")
 	}
 	// Constant matrix should not divide by zero.
-	z := sweep.NewMatrix(1, 1)
+	z := NewMatrix(1, 1)
 	flat := &Heatmap{Title: "flat", Xs: []float64{1}, Ys: []float64{1}, Z: z}
 	if out := flat.RenderASCII(0, 0); out == "" {
 		t.Error("flat heatmap render empty")

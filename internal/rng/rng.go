@@ -1,5 +1,5 @@
 // Package rng provides a small, deterministic, splittable pseudo-random
-// number generator used throughout the simulator and the sweep harness.
+// number generator used throughout the simulator and the campaign engine.
 //
 // Reproducibility is a hard requirement for the experiments: a sweep cell
 // (protocol, parameter point, repetition index) must always observe the same

@@ -12,7 +12,6 @@ import (
 	"abftckpt/internal/plot"
 	"abftckpt/internal/rng"
 	"abftckpt/internal/stats"
-	"abftckpt/internal/sweep"
 )
 
 // expansion is a resolved spec: its artifact names, its cells and the
@@ -268,22 +267,29 @@ func (s *Spec) heatmapTitle(output, head, diffHead, desc string, reps int) strin
 	return fmt.Sprintf("%s: Model (%s)", head, desc)
 }
 
-// cells lays out the model grid and the simulation grid as the output
-// needs them, then any extra grids, each row-major.
-func (g *heatmapGrid) cells(modelCell, simCell func(row, col int) CellSpec, extra ...func(row, col int) CellSpec) []CellSpec {
-	var grids []func(row, col int) CellSpec
-	if g.output != OutputSim {
-		grids = append(grids, modelCell)
+// Grid indices of heatmapGrid.cells: the model grid, the simulation grid,
+// then any extra simulation grids.
+const (
+	modelGrid = iota
+	simGrid
+)
+
+// cells lays out, each row-major, the model grid and the simulation grid as
+// the output needs them, then extra more grids; at builds the cell of one
+// grid index at (row, col).
+func (g *heatmapGrid) cells(extra int, at func(grid, row, col int) CellSpec) []CellSpec {
+	first, last := modelGrid, simGrid+extra
+	if g.output == OutputSim {
+		first = simGrid
 	}
-	if g.output != OutputModel {
-		grids = append(grids, simCell)
+	if g.output == OutputModel {
+		last = modelGrid
 	}
-	grids = append(grids, extra...)
-	cells := make([]CellSpec, 0, len(grids)*len(g.ys)*len(g.xs))
-	for _, at := range grids {
+	cells := make([]CellSpec, 0, (last-first+1)*len(g.ys)*len(g.xs))
+	for grid := first; grid <= last; grid++ {
 		for row := range g.ys {
 			for col := range g.xs {
-				cells = append(cells, at(row, col))
+				cells = append(cells, at(grid, row, col))
 			}
 		}
 	}
@@ -301,7 +307,7 @@ func (s *Spec) heatmapArtifact(g *heatmapGrid, results []CellResult) Artifact {
 		lo, hi = s.Render.Lo, s.Render.Hi
 	}
 	rows, cols := len(g.ys), len(g.xs)
-	z := sweep.NewMatrix(rows, cols)
+	z := plot.NewMatrix(rows, cols)
 	for i := 0; i < rows*cols; i++ {
 		var v float64
 		switch g.output {
@@ -325,19 +331,25 @@ func (s *Spec) heatmapArtifact(g *heatmapGrid, results []CellResult) Artifact {
 }
 
 // precisionColumns are the per-cell columns of a _precision table, filled
-// by precisionCells.
+// by appendPrecisionCells.
 var precisionColumns = []string{"waste", "ci95", "runs", "reps_cap", "stopped", "cv_ratio"}
 
-// precisionCells formats one simulation cell under precisionColumns.
-func precisionCells(res *SimCellResult) []string {
-	return []string{
+// maxPrecisionRow bounds a _precision table row: two key columns,
+// precisionColumns and three paired-baseline columns. Rows are built in a
+// stack array of this size, since Table.AddRow copies them.
+const maxPrecisionRow = 11
+
+// appendPrecisionCells appends one simulation cell formatted under
+// precisionColumns to row.
+func appendPrecisionCells(row []string, res *SimCellResult) []string {
+	return append(row,
 		fmt.Sprintf("%.4f", float64(res.WasteMean)),
 		fmt.Sprintf("%.4f", float64(res.WasteCI95)),
 		fmt.Sprintf("%d", res.Runs),
 		fmt.Sprintf("%d", res.RepsCap),
 		fmt.Sprintf("%v", res.Stopped),
 		fmt.Sprintf("%.3f", float64(res.CVVarianceRatio)),
-	}
+	)
 }
 
 func (s *Spec) expandHeatmap(c *Campaign) (*expansion, error) {
@@ -379,11 +391,11 @@ func (s *Spec) expandHeatmap(c *Campaign) (*expansion, error) {
 	if err != nil {
 		return nil, err
 	}
-	mtbfMinutes, err := s.MTBFMinutes.Resolve(sweep.Linspace(60, 240, 19))
+	mtbfMinutes, err := s.MTBFMinutes.Resolve(linspace(60, 240, 19))
 	if err != nil {
 		return nil, err
 	}
-	alphas, err := s.Alphas.Resolve(sweep.Linspace(0, 1, 21))
+	alphas, err := s.Alphas.Resolve(linspace(0, 1, 21))
 	if err != nil {
 		return nil, err
 	}
@@ -412,36 +424,35 @@ func (s *Spec) expandHeatmap(c *Campaign) (*expansion, error) {
 	// The baseline grid keeps per-replica waste vectors so the assembler can
 	// compute paired-difference CIs; KeepReplicas is forced on both grids.
 	keepReplicas := baseline != ""
-	cellAt := func(op, protocol string, protoNum model.Protocol) func(row, col int) CellSpec {
-		return func(row, col int) CellSpec {
-			p := tmpl
-			p.Alpha = alphas[row]
-			p.Mu = mtbfMinutes[col] * model.Minute
-			cell := CellSpec{Op: op, Protocol: protocol, Params: &p, Options: opts}
-			if op == OpSim {
-				cell.Epochs = 1
-				cell.Reps = reps
-				// With share_traces the protocol stays out of the seed path,
-				// so same-seed specs over the same grid observe the same
-				// failure realizations per point.
-				if s.ShareTraces {
-					cell.Seed = rng.At(seed, uint64(row), uint64(col))
-				} else {
-					cell.Seed = rng.At(seed, uint64(protoNum), uint64(row), uint64(col))
-				}
-				cell.Dist = dist
-				if s.Precision != nil {
-					cell.Precision = s.Precision.cell(keepReplicas)
-				}
-			}
-			return cell
-		}
-	}
-	var extra []func(row, col int) CellSpec
+	extra := 0
 	if baseline != "" {
-		extra = append(extra, cellAt(OpSim, baseline, baseProto))
+		extra = 1
 	}
-	cells := g.cells(cellAt(OpModel, s.Protocol, proto), cellAt(OpSim, s.Protocol, proto), extra...)
+	cells := g.cells(extra, func(grid, row, col int) CellSpec {
+		p := tmpl
+		p.Alpha = alphas[row]
+		p.Mu = mtbfMinutes[col] * model.Minute
+		if grid == modelGrid {
+			return CellSpec{Op: OpModel, Protocol: s.Protocol, Params: &p, Options: opts}
+		}
+		protocol, protoNum := s.Protocol, proto
+		if grid > simGrid {
+			protocol, protoNum = baseline, baseProto
+		}
+		cell := CellSpec{Op: OpSim, Protocol: protocol, Params: &p, Options: opts, Epochs: 1, Reps: reps, Dist: dist}
+		// With share_traces the protocol stays out of the seed path, so
+		// same-seed specs over the same grid observe the same failure
+		// realizations per point.
+		if s.ShareTraces {
+			cell.Seed = rng.At(seed, uint64(row), uint64(col))
+		} else {
+			cell.Seed = rng.At(seed, uint64(protoNum), uint64(row), uint64(col))
+		}
+		if s.Precision != nil {
+			cell.Precision = s.Precision.cell(keepReplicas)
+		}
+		return cell
+	})
 
 	assemble := func(results []CellResult) ([]Artifact, error) {
 		arts := []Artifact{s.heatmapArtifact(g, results)}
@@ -455,7 +466,7 @@ func (s *Spec) expandHeatmap(c *Campaign) (*expansion, error) {
 		if output == OutputDiff {
 			simOff = rows * cols
 		}
-		columns := append([]string{"mtbf_min", "alpha"}, precisionColumns...)
+		columns := append(append(make([]string, 0, maxPrecisionRow), "mtbf_min", "alpha"), precisionColumns...)
 		if baseline != "" {
 			columns = append(columns, baseline+" waste", "diff", "diff_ci95")
 		}
@@ -463,8 +474,8 @@ func (s *Spec) expandHeatmap(c *Campaign) (*expansion, error) {
 		for i := 0; i < rows*cols; i++ {
 			row, col := i/cols, i%cols
 			res := results[simOff+i].Sim
-			cells := append([]string{fmt.Sprintf("%g", mtbfMinutes[col]), fmt.Sprintf("%g", alphas[row])},
-				precisionCells(res)...)
+			var buf [maxPrecisionRow]string
+			cells := appendPrecisionCells(append(buf[:0], fmt.Sprintf("%g", mtbfMinutes[col]), fmt.Sprintf("%g", alphas[row])), res)
 			if baseline != "" {
 				base := results[simOff+rows*cols+i].Sim
 				iv, err := stats.PairedDifference(jsonFloats(res.Replicas), jsonFloats(base.Replicas), 0.05)
@@ -846,12 +857,13 @@ func (s *Spec) expandSensitivity(c *Campaign) (*expansion, error) {
 		}
 		pt := &plot.Table{
 			Title:   "Adaptive precision: " + title,
-			Columns: append([]string{label, "protocol"}, precisionColumns...),
+			Columns: append(append(make([]string, 0, maxPrecisionRow), label, "protocol"), precisionColumns...),
 		}
 		for i, cs := range cases {
 			for j, proto := range model.Protocols {
 				res := results[i*len(model.Protocols)+j].Sim
-				pt.AddRow(append([]string{cs.Name, ProtocolName(proto)}, precisionCells(res)...)...)
+				var buf [maxPrecisionRow]string
+				pt.AddRow(appendPrecisionCells(append(buf[:0], cs.Name, ProtocolName(proto)), res)...)
 			}
 		}
 		arts = append(arts, Artifact{Name: s.Name + "_precision", Table: pt})
@@ -915,11 +927,11 @@ func (s *Spec) expandSilentHeatmap(c *Campaign) (*expansion, error) {
 	if err != nil {
 		return nil, err
 	}
-	mtbeMinutes, err := s.MTBEMinutes.Resolve(sweep.Linspace(60, 240, 19))
+	mtbeMinutes, err := s.MTBEMinutes.Resolve(linspace(60, 240, 19))
 	if err != nil {
 		return nil, err
 	}
-	verifyCosts, err := s.VerifyCosts.Resolve(sweep.Linspace(30, 600, 20))
+	verifyCosts, err := s.VerifyCosts.Resolve(linspace(30, 600, 20))
 	if err != nil {
 		return nil, err
 	}
@@ -956,21 +968,19 @@ func (s *Spec) expandSilentHeatmap(c *Campaign) (*expansion, error) {
 		},
 	}
 
-	cellAt := func(op string) func(row, col int) CellSpec {
-		return func(row, col int) CellSpec {
-			p := base
-			p.V = verifyCosts[row]
-			p.MuSilent = mtbeMinutes[col] * model.Minute
-			cell := CellSpec{Op: op, Silent: &SilentCell{Params: p, Recovery: recovery}}
-			if op == OpSilentSim {
-				cell.Reps = reps
-				cell.Seed = rng.At(seed, uint64(row), uint64(col))
-				cell.Dist = dist
-			}
-			return cell
+	cells := g.cells(0, func(grid, row, col int) CellSpec {
+		p := base
+		p.V = verifyCosts[row]
+		p.MuSilent = mtbeMinutes[col] * model.Minute
+		cell := CellSpec{Op: OpSilentModel, Silent: &SilentCell{Params: p, Recovery: recovery}}
+		if grid == simGrid {
+			cell.Op = OpSilentSim
+			cell.Reps = reps
+			cell.Seed = rng.At(seed, uint64(row), uint64(col))
+			cell.Dist = dist
 		}
-	}
-	cells := g.cells(cellAt(OpSilentModel), cellAt(OpSilentSim))
+		return cell
+	})
 	assemble := func(results []CellResult) ([]Artifact, error) {
 		return []Artifact{s.heatmapArtifact(g, results)}, nil
 	}

@@ -2,7 +2,7 @@
 // cacheable artifacts. A Campaign is a JSON document listing scenario Specs;
 // every Spec expands into a grid of content-addressed cells (one analytic
 // model evaluation or one Monte-Carlo simulation campaign each), the Runner
-// executes the cells on a worker pool through the existing model/sim/sweep
+// executes the cells on a worker pool through the existing model/sim
 // layers — reusing any cell already present in the on-disk cache — and
 // assembles the results into plot.Heatmap / plot.LineChart / plot.Table
 // artifacts.
@@ -20,7 +20,6 @@ import (
 	"os"
 
 	"abftckpt/internal/model"
-	"abftckpt/internal/sweep"
 )
 
 // Spec kinds. Each kind expands into cells differently and assembles a
@@ -541,12 +540,29 @@ func (a *Axis) Resolve(def []float64) ([]float64, error) {
 		if math.IsNaN(*a.From) || math.IsInf(*a.From, 0) || math.IsNaN(*a.To) || math.IsInf(*a.To, 0) {
 			return nil, fmt.Errorf("scenario: axis range must be finite")
 		}
-		return sweep.Linspace(*a.From, *a.To, a.Count), nil
+		return linspace(*a.From, *a.To, a.Count), nil
 	case a.From != nil || a.To != nil || a.Count != 0:
 		return nil, fmt.Errorf("scenario: range axis needs from, to and count > 0")
 	default:
 		return def, nil
 	}
+}
+
+// linspace returns n evenly spaced values from lo to hi inclusive.
+func linspace(lo, hi float64, n int) []float64 {
+	if n <= 0 {
+		panic("scenario: linspace needs n > 0")
+	}
+	if n == 1 {
+		return []float64{lo}
+	}
+	out := make([]float64, n)
+	step := (hi - lo) / float64(n-1)
+	for i := range out {
+		out[i] = lo + float64(i)*step
+	}
+	out[n-1] = hi // avoid FP drift at the endpoint
+	return out
 }
 
 // DistSpec names a failure inter-arrival distribution for simulation cells.

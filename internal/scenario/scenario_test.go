@@ -145,6 +145,22 @@ func TestAxisResolve(t *testing.T) {
 	}
 }
 
+func TestLinspace(t *testing.T) {
+	got := linspace(0, 1, 5)
+	want := []float64{0, 0.25, 0.5, 0.75, 1}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Errorf("linspace[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if got := linspace(3, 7, 1); len(got) != 1 || got[0] != 3 {
+		t.Errorf("linspace n=1: %v", got)
+	}
+	if got := linspace(60, 240, 19); got[18] != 240 {
+		t.Errorf("endpoint drift: %v", got[18])
+	}
+}
+
 func TestPlatformCatalogue(t *testing.T) {
 	if len(PlatformNames()) == 0 || len(ScalingPlatformNames()) == 0 {
 		t.Fatal("catalogue must not be empty")
@@ -224,5 +240,28 @@ func TestScalingLawJSON(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"CkptScaling":"cubic"}`), &back); err == nil {
 		t.Error("unknown law name should fail to parse")
+	}
+}
+
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
+// TestHeatmapExpandAllocs pins the allocations of expanding one simulated
+// heatmap of the cold-cohort bench campaign, which the campaign/cold_cohort
+// bench gates exactly: a layout helper that heap-allocates per spec (a
+// slice of grid closures, say) shows up there as a regression.
+func TestHeatmapExpandAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c := BenchCohortCampaign()
+	s := c.Scenarios[0]
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.expand(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 27 {
+		t.Errorf("expand of %s: %v allocs, want <= 27", s.Name, allocs)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Accumulator computes running mean and variance using Welford's online
 // algorithm, which is numerically stable for the long accumulation runs the
-// sweep harness performs. The zero value is ready to use.
+// simulator performs. The zero value is ready to use.
 type Accumulator struct {
 	n    int
 	mean float64
