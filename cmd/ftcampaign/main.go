@@ -74,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noCache := fs.Bool("no-cache", false, "disable the cell cache")
 	storeURL := fs.String("store-url", "", "remote result store base URL (e.g. http://host:port/v1/store) instead of the on-disk cache")
 	workers := fs.Int("workers", 0, "cell-level parallelism (0: NumCPU)")
-	cohorts := fs.Bool("cohorts", true, "generate each shared failure process once and replay it across its cells (trace cohorts)")
 	arenaMB := fs.Int("arena-mb", 0, "per-cohort trace-arena memory budget in MiB (0: default 64)")
 	validate := fs.Bool("validate", false, "validate the campaign file and exit")
 	dryRun := fs.Bool("dry-run", false, "validate and print the cell plan without executing")
@@ -157,11 +156,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var artErr error
 	filesByName := map[string][]string{}
 	runner := scenario.Runner{
-		Cache:          cellCache,
-		CacheDir:       cacheDir,
-		Workers:        *workers,
-		DisableCohorts: !*cohorts,
-		ArenaBudget:    int64(*arenaMB) << 20,
+		Cache:       cellCache,
+		CacheDir:    cacheDir,
+		Workers:     *workers,
+		ArenaBudget: int64(*arenaMB) << 20,
 		OnEvent: func(ev scenario.CellEvent) {
 			if *verbose {
 				state := "executed"

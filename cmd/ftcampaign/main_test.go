@@ -55,60 +55,32 @@ func TestValidateRejectsBadCampaign(t *testing.T) {
 	}
 }
 
-// cohortSpec writes a campaign whose sim cells share failure processes.
-func cohortSpec(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "cohorts.json")
+// TestDryRunReportsCohorts: a dry run over a shared Weibull failure
+// process reports the cohort plan the run will execute.
+func TestDryRunReportsCohorts(t *testing.T) {
+	spec := filepath.Join(t.TempDir(), "cohorts.json")
 	const js = `{
 	  "name": "cohorts",
 	  "seed": 5,
 	  "reps": 6,
 	  "scenarios": [
 	    {"name": "sp", "kind": "heatmap", "output": "sim", "protocol": "pure", "share_traces": true,
+	     "distribution": {"name": "weibull", "shape": 0.7},
 	     "mtbf_minutes": {"values": [120]}, "alphas": {"values": [0.5]}},
 	    {"name": "sa", "kind": "heatmap", "output": "sim", "protocol": "abft", "share_traces": true,
+	     "distribution": {"name": "weibull", "shape": 0.7},
 	     "mtbf_minutes": {"values": [120]}, "alphas": {"values": [0.5]}}
 	  ]
 	}`
-	if err := os.WriteFile(path, []byte(js), 0o644); err != nil {
+	if err := os.WriteFile(spec, []byte(js), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return path
-}
-
-// A dry run over shared failure processes reports the cohort plan, and the
-// run itself produces identical manifests with -cohorts on (the default)
-// and off.
-func TestCohortsFlagAndDryRunReport(t *testing.T) {
-	spec := cohortSpec(t)
 	code, stdout, stderr := runCmd(t, "-spec", spec, "-dry-run")
 	if code != 0 {
 		t.Fatalf("dry-run exit %d, stderr: %s", code, stderr)
 	}
 	if !strings.Contains(stdout, "trace cohorts: 1 shared failure processes covering 2 sim cells") {
 		t.Errorf("dry-run output missing the cohort plan:\n%s", stdout)
-	}
-
-	outOn := filepath.Join(t.TempDir(), "on")
-	if code, _, stderr := runCmd(t, "-spec", spec, "-out", outOn, "-no-cache"); code != 0 {
-		t.Fatalf("cohort run exit %d, stderr: %s", code, stderr)
-	}
-	outOff := filepath.Join(t.TempDir(), "off")
-	if code, _, stderr := runCmd(t, "-spec", spec, "-out", outOff, "-no-cache", "-cohorts=false"); code != 0 {
-		t.Fatalf("per-cell run exit %d, stderr: %s", code, stderr)
-	}
-	for _, name := range []string{"sp.csv", "sa.csv"} {
-		a, err := os.ReadFile(filepath.Join(outOn, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(outOff, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s differs between -cohorts and -cohorts=false", name)
-		}
 	}
 }
 

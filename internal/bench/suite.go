@@ -50,6 +50,10 @@ const (
 	cascadeEvents = 4096
 )
 
+// weibull07 is the Weibull law of shape 0.7 the non-exponential sim
+// benches draw from.
+func weibull07(mtbf float64) dist.Distribution { return dist.WeibullWithMTBF(0.7, mtbf) }
+
 func fig7Sim(reps int) sim.Config {
 	return sim.Config{
 		Params:   model.Fig7Params(2*model.Hour, 0.8),
@@ -84,9 +88,7 @@ func Suite() []Benchmark {
 			UnitName:   "replicas",
 			Fn: func(b *testing.B) {
 				cfg := fig7Sim(weibullReps)
-				cfg.Distribution = func(mtbf float64) dist.Distribution {
-					return dist.WeibullWithMTBF(0.7, mtbf)
-				}
+				cfg.Distribution = weibull07
 				for i := 0; i < b.N; i++ {
 					sim.Simulate(cfg, sim.Options{})
 				}
@@ -103,6 +105,34 @@ func Suite() []Benchmark {
 				// The arena is built once and replayed every iteration —
 				// exactly how a cohort amortizes stream generation.
 				tr := sim.BuildTraceArena(dist.NewExponential(cfg.Params.Mu), cfg.Seed, cfg.Reps, 1.5*cfg.Params.T0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sim.Simulate(cfg, sim.Options{Arena: tr})
+				}
+			},
+		},
+		{
+			Name:       "sim/weibull_live",
+			Brief:      "replica loop drawing Weibull(0.7) failures live (sim/weibull_replay's comparison point)",
+			UnitsPerOp: replicaReps,
+			UnitName:   "replicas",
+			Fn: func(b *testing.B) {
+				cfg := fig7Sim(replicaReps)
+				cfg.Distribution = weibull07
+				for i := 0; i < b.N; i++ {
+					sim.Simulate(cfg, sim.Options{})
+				}
+			},
+		},
+		{
+			Name:       "sim/weibull_replay",
+			Brief:      "sim/weibull_live replaying a materialized failure trace: the per-law replay win that decides which cohorts build arenas",
+			UnitsPerOp: replicaReps,
+			UnitName:   "replicas",
+			Fn: func(b *testing.B) {
+				cfg := fig7Sim(replicaReps)
+				cfg.Distribution = weibull07
+				tr := sim.BuildTraceArena(weibull07(cfg.Params.Mu), cfg.Seed, cfg.Reps, 1.5*cfg.Params.T0)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					sim.Simulate(cfg, sim.Options{Arena: tr})

@@ -54,6 +54,16 @@ func SimProcessKey(c CellSpec) (ProcessKey, bool) {
 	}, true
 }
 
+// replays reports whether cells of the process gain from replaying one
+// shared arena. Exponential cells do not: drawn live they take the
+// registerized exponential walker, and replay saves only about a third of a
+// live replica (internal/bench's sim/replica_loop vs sim/trace_replay),
+// while generating the arena costs about a whole one, so a cohort of a few
+// cells breaks even at best. Under the other laws every draw is an
+// interface call into the distribution, and replay costs a fraction of a
+// live replica (sim/weibull_live vs sim/weibull_replay).
+func (k ProcessKey) replays() bool { return k.Dist != DistExponential }
+
 // cohort is one group of unique cells sharing a failure process, addressed
 // by their cache hashes in first-reference order.
 type cohort struct {
@@ -62,15 +72,16 @@ type cohort struct {
 }
 
 // groupCohorts partitions cells (hash -> spec, iterated in the order of
-// hashes) into cohorts: simulation cells grouped by process key, everything
-// else a singleton. The returned slice preserves first-reference order, so
-// scheduling stays deterministic.
+// hashes) into cohorts: simulation cells whose process replays (see
+// ProcessKey.replays) grouped by process key, everything else a singleton.
+// The returned slice preserves first-reference order, so scheduling stays
+// deterministic.
 func groupCohorts(hashes []string, spec func(hash string) CellSpec) []cohort {
 	var out []cohort
 	index := map[ProcessKey]int{}
 	for _, h := range hashes {
 		key, ok := SimProcessKey(spec(h))
-		if !ok {
+		if !ok || !key.replays() {
 			out = append(out, cohort{hashes: []string{h}})
 			continue
 		}
@@ -82,6 +93,18 @@ func groupCohorts(hashes []string, spec func(hash string) CellSpec) []cohort {
 		out = append(out, cohort{key: key, hashes: []string{h}})
 	}
 	return out
+}
+
+// countCohorts counts the groups of two or more cells among cos and the
+// cells inside them: the cohorts that build an arena, budget permitting.
+func countCohorts(cos []cohort) (cohorts, cells int) {
+	for _, co := range cos {
+		if len(co.hashes) > 1 {
+			cohorts++
+			cells += len(co.hashes)
+		}
+	}
+	return cohorts, cells
 }
 
 // MaxShardCells bounds the cells one ExecBatch call — one coordinator
@@ -216,10 +239,13 @@ func cohortHorizon(key ProcessKey, cells []CellSpec) float64 {
 	return maxH
 }
 
-// buildCohortArena materializes the cohort's failure process, or returns
-// nil when the cohort cannot profit from one (fewer than two cells) or its
-// estimated footprint exceeds the budget (the cells then generate their
-// streams per cell, exactly as without cohorts).
+// buildCohortArena returns an empty arena for the cohort's failure process,
+// or nil when the cohort cannot profit from one (fewer than two cells) or
+// its estimated footprint at the full repetition count exceeds the budget
+// (the cells then generate their streams per cell, exactly as without
+// cohorts). The arena has the repetition count as its capacity; each
+// member's replica driver grows it to the replicas that member runs, so the
+// cohort pays only for the replicas its hungriest member uses.
 func buildCohortArena(co cohort, cells []CellSpec, budget int64) *sim.TraceArena {
 	if len(cells) < 2 {
 		return nil
@@ -233,5 +259,5 @@ func buildCohortArena(co cohort, cells []CellSpec, budget int64) *sim.TraceArena
 	if est := sim.EstimateArenaArrivals(co.key.MTBF, horizon, co.key.Reps); est > budget/8 {
 		return nil
 	}
-	return sim.BuildTraceArena(ctor(co.key.MTBF), co.key.Seed, co.key.Reps, horizon)
+	return sim.NewTraceArena(ctor(co.key.MTBF), co.key.Seed, co.key.Reps, horizon)
 }

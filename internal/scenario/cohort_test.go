@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -60,9 +61,9 @@ func cellsFrom(in cohortInputs) []CellSpec {
 }
 
 // Cohort grouping is a partition of the planned cells: every unique sim
-// cell lands in exactly one cohort, non-sim cells ride as singletons, cells
-// grouped together share one process key and cells in different sim
-// cohorts never do.
+// cell lands in exactly one cohort, non-sim cells and cells of exponential
+// processes (which never replay) ride as singletons, cells grouped together
+// share one process key and cells in different sim cohorts never do.
 func TestQuickCohortGroupingIsPartition(t *testing.T) {
 	prop := func(in cohortInputs) bool {
 		cells := cellsFrom(in)
@@ -87,9 +88,9 @@ func TestQuickCohortGroupingIsPartition(t *testing.T) {
 				}
 				seen[h] = ci
 				key, isSim := SimProcessKey(specs[h])
-				if !isSim {
+				if !isSim || key.Dist == DistExponential {
 					if len(co.hashes) != 1 {
-						t.Logf("non-sim cell grouped with others")
+						t.Logf("non-sim or exponential cell grouped with others")
 						return false
 					}
 					continue
@@ -107,7 +108,7 @@ func TestQuickCohortGroupingIsPartition(t *testing.T) {
 		// Distinct sim cohorts carry distinct keys.
 		keys := map[ProcessKey]bool{}
 		for _, co := range cohorts {
-			if _, isSim := SimProcessKey(specs[co.hashes[0]]); !isSim {
+			if key, isSim := SimProcessKey(specs[co.hashes[0]]); !isSim || key.Dist == DistExponential {
 				continue
 			}
 			if keys[co.key] {
@@ -160,9 +161,10 @@ func TestQuickProcessKeyEqualityImpliesIdenticalArenas(t *testing.T) {
 	}
 }
 
-// cohortCampaign is a small heatmap trio over one shared failure process:
-// three protocols scanning the same grid with share_traces, so every grid
-// point forms a three-cell cohort.
+// cohortCampaign is a small heatmap trio over one shared Weibull failure
+// process (exponential processes form no cohorts): three protocols scanning
+// the same grid with share_traces, so every grid point forms a three-cell
+// cohort.
 func cohortCampaign(t *testing.T) *Campaign {
 	t.Helper()
 	const js = `{
@@ -171,13 +173,13 @@ func cohortCampaign(t *testing.T) *Campaign {
 	  "reps": 12,
 	  "scenarios": [
 	    {"name": "hm_pure", "kind": "heatmap", "output": "sim", "protocol": "pure",
-	     "share_traces": true,
+	     "share_traces": true, "distribution": {"name": "weibull", "shape": 0.7},
 	     "mtbf_minutes": {"from": 90, "to": 180, "count": 2}, "alphas": {"from": 0.2, "to": 0.8, "count": 2}},
 	    {"name": "hm_bi", "kind": "heatmap", "output": "sim", "protocol": "bi",
-	     "share_traces": true,
+	     "share_traces": true, "distribution": {"name": "weibull", "shape": 0.7},
 	     "mtbf_minutes": {"from": 90, "to": 180, "count": 2}, "alphas": {"from": 0.2, "to": 0.8, "count": 2}},
 	    {"name": "hm_abft", "kind": "heatmap", "output": "sim", "protocol": "abft",
-	     "share_traces": true,
+	     "share_traces": true, "distribution": {"name": "weibull", "shape": 0.7},
 	     "mtbf_minutes": {"from": 90, "to": 180, "count": 2}, "alphas": {"from": 0.2, "to": 0.8, "count": 2}}
 	  ]
 	}`
@@ -320,4 +322,137 @@ func TestShareTracesValidation(t *testing.T) {
 	if err := load(simHeatmap); err != nil {
 		t.Errorf("sim heatmap with share_traces must validate: %v", err)
 	}
+}
+
+// The dry-run plan and the run agree on cohorts: both apply the rule that
+// exponential processes form none, so an exponential share_traces campaign
+// plans and builds no arena, and a Weibull one plans and builds one per
+// grid point.
+func TestPlanCohortsMatchRun(t *testing.T) {
+	for _, tc := range []struct {
+		law         DistSpec
+		cohorts     int
+		cohortCells int
+	}{
+		{DistSpec{Name: DistExponential}, 0, 0},
+		{DistSpec{Name: DistWeibull, Shape: 0.7}, 4, 12},
+	} {
+		c := cohortCampaign(t)
+		for _, s := range c.Scenarios {
+			s.Distribution = &tc.law
+		}
+		plan, err := PlanCampaign(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := (&Runner{Cache: NewCellCache("", 0), Workers: 2}).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Cohorts != rep.Cohorts || plan.CohortCells != rep.CohortCells {
+			t.Errorf("%s: plan %d cohorts / %d cells, run %d / %d", tc.law.Name,
+				plan.Cohorts, plan.CohortCells, rep.Cohorts, rep.CohortCells)
+		}
+		if plan.Cohorts != tc.cohorts || plan.CohortCells != tc.cohortCells {
+			t.Errorf("%s: plan %d cohorts / %d cells, want %d / %d", tc.law.Name,
+				plan.Cohorts, plan.CohortCells, tc.cohorts, tc.cohortCells)
+		}
+	}
+}
+
+// A cohort's arena is grown by its members' replica drivers: it ends
+// holding exactly the replicas the hungriest member ran — below the cap
+// when every adaptive member stops early, the full count in one step for
+// fixed-rep cells — and every member's result is bit-identical to
+// replaying an eagerly built arena and to drawing live. Replica workers
+// above one exercise growth between parallel blocks (the idle-worker
+// lending path).
+func TestLazyCohortArenaMaterializesOnlyTouchedReplicas(t *testing.T) {
+	const reps = 400
+	for _, tc := range []struct {
+		name     string
+		adaptive bool
+		workers  int
+	}{
+		{"adaptive", true, 1},
+		{"adaptive lent workers", true, 3},
+		{"fixed", false, 1},
+		{"fixed lent workers", false, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			specs := map[string]CellSpec{}
+			var order []string
+			for _, proto := range []string{ProtoPure, ProtoBi, ProtoAbft} {
+				p := model.Fig7Params(2*model.Hour, 0.5)
+				c := CellSpec{Op: OpSim, Protocol: proto, Params: &p, Reps: reps, Seed: 7,
+					Dist: &DistSpec{Name: DistWeibull, Shape: 0.7}}
+				if tc.adaptive {
+					c.Precision = &CellPrecision{RelCI: 0.1, Batch: 16}
+				} else {
+					c.Reps = 48
+				}
+				specs[c.Hash()] = c
+				order = append(order, c.Hash())
+			}
+			cos := groupCohorts(order, func(h string) CellSpec { return specs[h] })
+			if len(cos) != 1 || len(cos[0].hashes) != 3 {
+				t.Fatalf("got %d cohorts, want one of three cells", len(cos))
+			}
+			co := cos[0]
+			cells := make([]CellSpec, len(co.hashes))
+			for i, h := range co.hashes {
+				cells[i] = specs[h]
+			}
+			lazy := buildCohortArena(co, cells, DefaultArenaBudget)
+			if lazy == nil || lazy.Reps() != 0 || lazy.Cap() != co.key.Reps {
+				t.Fatalf("cohort arena should start empty with capacity %d", co.key.Reps)
+			}
+			ctor, _ := cells[0].Dist.constructor()
+			eager := sim.BuildTraceArena(ctor(co.key.MTBF), co.key.Seed, co.key.Reps, lazy.Horizon())
+
+			maxRuns := 0
+			for i, c := range cells {
+				res, got := execJSON(t, c, ExecOptions{Workers: tc.workers, Arena: lazy})
+				for name, o := range map[string]ExecOptions{
+					"eager arena": {Workers: tc.workers, Arena: eager},
+					"no arena":    {Workers: tc.workers},
+				} {
+					if _, want := execJSON(t, c, o); !bytes.Equal(got, want) {
+						t.Errorf("cell %d: lazy-arena result differs from %s:\n%s\n%s", i, name, got, want)
+					}
+				}
+				maxRuns = max(maxRuns, res.Sim.Runs)
+				if !tc.adaptive && lazy.Reps() != c.Reps {
+					t.Errorf("fixed cell %d left the arena at %d replicas, want %d", i, lazy.Reps(), c.Reps)
+				}
+			}
+			if lazy.Reps() != maxRuns {
+				t.Errorf("arena holds %d replicas, hungriest member ran %d", lazy.Reps(), maxRuns)
+			}
+			if tc.adaptive && maxRuns >= reps {
+				t.Errorf("adaptive members ran %d replicas, want fewer than the cap %d", maxRuns, reps)
+			}
+			// Growth order never shows: the lazily grown arena equals one
+			// grown to the same count in a single step.
+			oneStep := sim.NewTraceArena(ctor(co.key.MTBF), co.key.Seed, co.key.Reps, lazy.Horizon())
+			oneStep.Grow(maxRuns)
+			if !lazy.Equal(oneStep) {
+				t.Error("lazily grown arena differs from one grown in a single step")
+			}
+		})
+	}
+}
+
+// execJSON executes c under o and returns the result and its encoding.
+func execJSON(t *testing.T, c CellSpec, o ExecOptions) (CellResult, []byte) {
+	t.Helper()
+	res, err := c.ExecuteOpts(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, b
 }

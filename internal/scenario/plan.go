@@ -12,9 +12,10 @@ type Plan struct {
 	Cells  int `json:"cells"`
 	Unique int `json:"unique"`
 	// Cohorts counts groups of two or more unique simulation cells sharing
-	// one failure process (see SimProcessKey); CohortCells counts the cells
-	// inside those groups. When the runner executes with cohorts enabled,
-	// each group's failure streams are generated once and replayed.
+	// one failure process that replays (see SimProcessKey; exponential
+	// processes never form cohorts); CohortCells counts the cells inside
+	// those groups. The runner generates each group's failure streams once
+	// and replays them, budget permitting.
 	Cohorts     int `json:"cohorts,omitempty"`
 	CohortCells int `json:"cohort_cells,omitempty"`
 	// Scenarios lists the per-scenario breakdown in campaign order.
@@ -60,11 +61,6 @@ func PlanCampaign(c *Campaign) (*Plan, error) {
 		p.Scenarios = append(p.Scenarios, sp)
 	}
 	p.Unique = len(unique)
-	for _, co := range groupCohorts(order, func(h string) CellSpec { return unique[h] }) {
-		if len(co.hashes) > 1 {
-			p.Cohorts++
-			p.CohortCells += len(co.hashes)
-		}
-	}
+	p.Cohorts, p.CohortCells = countCohorts(groupCohorts(order, func(h string) CellSpec { return unique[h] }))
 	return p, nil
 }

@@ -53,8 +53,8 @@ type Report struct {
 	CacheHits, Executed int
 	// Cohorts counts the trace cohorts this run materialized (groups of
 	// uncached simulation cells sharing one failure process whose arrival
-	// arena was built); CohortCells counts the cells executed by replaying
-	// one of those arenas.
+	// arena was created, to be grown by its members); CohortCells counts
+	// the cells executed by replaying one of those arenas.
 	Cohorts, CohortCells int
 	// AdaptiveCells counts executed cells that ran under an adaptive-
 	// precision block; AdaptiveReplicasUsed and AdaptiveReplicasCap sum
@@ -89,8 +89,8 @@ type Runner struct {
 	// DisableCohorts turns off trace-cohort execution: every simulation
 	// cell regenerates its own failure streams. Results are identical
 	// either way (sim.Simulate's trace replay is bit-identical to drawing);
-	// the toggle exists for benchmarking and as an operational escape
-	// hatch.
+	// the toggle exists for benchmarks and reference runs that compare
+	// replay with per-cell generation.
 	DisableCohorts bool
 	// ArenaBudget bounds one cohort's materialized trace arena in bytes
 	// (0: DefaultArenaBudget). Cohorts whose estimated arena exceeds the
@@ -175,12 +175,7 @@ func (r *Runner) Run(c *Campaign) (*Report, error) {
 	report := &Report{Campaign: c.Name, Cells: totalRefs, Unique: len(order)}
 	if r.OnPlan != nil {
 		plan := Plan{Campaign: c.Name, Cells: totalRefs, Unique: len(order)}
-		for _, co := range groupCohorts(order, func(h string) CellSpec { return states[h].spec }) {
-			if len(co.hashes) > 1 {
-				plan.Cohorts++
-				plan.CohortCells += len(co.hashes)
-			}
-		}
+		plan.Cohorts, plan.CohortCells = countCohorts(groupCohorts(order, func(h string) CellSpec { return states[h].spec }))
 		for _, run := range runs {
 			plan.Scenarios = append(plan.Scenarios, ScenarioPlan{
 				Name:      run.ex.spec.Name,

@@ -447,9 +447,9 @@ func TestPlatformsAndHealth(t *testing.T) {
 	}
 }
 
-// TestStatsCountsCohorts runs a campaign whose simulation cells share
-// failure processes (share_traces) and checks the trace-cohort work shows
-// up in /v1/stats.
+// TestStatsCountsCohorts runs a campaign whose simulation cells share a
+// Weibull failure process (share_traces; exponential processes form no
+// cohorts) and checks the trace-cohort work shows up in /v1/stats.
 func TestStatsCountsCohorts(t *testing.T) {
 	ts, _ := newTestServer(t)
 	const cohortCampaign = `{
@@ -458,10 +458,10 @@ func TestStatsCountsCohorts(t *testing.T) {
 	  "reps": 8,
 	  "scenarios": [
 	    {"name": "sim_pure", "kind": "heatmap", "output": "sim", "protocol": "pure",
-	     "share_traces": true,
+	     "share_traces": true, "distribution": {"name": "weibull", "shape": 0.7},
 	     "mtbf_minutes": {"values": [120]}, "alphas": {"values": [0.5]}},
 	    {"name": "sim_abft", "kind": "heatmap", "output": "sim", "protocol": "abft",
-	     "share_traces": true,
+	     "share_traces": true, "distribution": {"name": "weibull", "shape": 0.7},
 	     "mtbf_minutes": {"values": [120]}, "alphas": {"values": [0.5]}}
 	  ]
 	}`

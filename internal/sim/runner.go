@@ -304,7 +304,13 @@ func drive(fam family, c clock, reps, workers int, prec *Precision) AdaptiveAggr
 	var results []RunResult
 	var cvs []float64
 	// runRange runs replicas [base, base+count) and reduces them in order.
+	// It first grows the arena, if any, through the range: on this
+	// goroutine, while no worker runs, so the arena holds exactly the
+	// replicas the campaign reaches.
 	runRange := func(base, count int) {
+		if c.tr != nil {
+			c.tr.Grow(base + count)
+		}
 		if workers == 1 {
 			// Serial campaigns reduce on the fly: replicas already complete
 			// in repetition order, no block buffer needed.

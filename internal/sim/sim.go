@@ -414,13 +414,16 @@ type Options struct {
 	// arena's saved generator states, so correctness never depends on the
 	// arena's horizon.
 	//
-	// The arena must hold at least cfg.Reps replica streams for cfg.Seed,
-	// drawn from the same distribution as cfg (seed, repetition count and
-	// the distribution mean are checked; the caller is responsible for
-	// matching the distribution family and shape, which the per-cell
-	// process keys of internal/scenario guarantee). Cohort scheduling sizes
-	// arenas by the repetition cap, so any cell of a cohort, adaptive or
-	// fixed, can replay them.
+	// The arena must have room for at least cfg.Reps replica streams
+	// (Cap) for cfg.Seed, drawn from the same distribution as cfg (seed,
+	// capacity and the distribution mean are checked; the caller is
+	// responsible for matching the distribution family and shape, which
+	// the per-cell process keys of internal/scenario guarantee). Cohort
+	// scheduling sizes arenas by the repetition cap, so any cell of a
+	// cohort, adaptive or fixed, can replay them. Simulate grows the arena
+	// to the replicas it runs (TraceArena.Grow) on the calling goroutine,
+	// before any worker reads them, so an arena that is not fully grown
+	// must not be shared by concurrent campaigns.
 	Arena *TraceArena
 	// Precision, when set (non-zero), turns cfg.Reps into a cap: replicas
 	// run in doubling batches until the waste CI half-width meets the target
@@ -477,8 +480,8 @@ func (cfg Config) engine(o Options) (*periodicFamily, clock) {
 		switch {
 		case tr.seed != cfg.Seed:
 			panic(fmt.Sprintf("sim: trace arena seed %d does not match Config.Seed %d", tr.seed, cfg.Seed))
-		case tr.Reps() < cfg.Reps:
-			panic(fmt.Sprintf("sim: trace arena holds %d replica streams, campaign needs %d", tr.Reps(), cfg.Reps))
+		case tr.Cap() < cfg.Reps:
+			panic(fmt.Sprintf("sim: trace arena holds up to %d replica streams, campaign needs %d", tr.Cap(), cfg.Reps))
 		case distrib.Mean() != tr.mean:
 			panic(fmt.Sprintf("sim: trace arena mean %v does not match distribution mean %v", tr.mean, distrib.Mean()))
 		}

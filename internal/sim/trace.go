@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"abftckpt/internal/dist"
 	"abftckpt/internal/rng"
@@ -23,18 +24,34 @@ import (
 // that outruns its prefix (a run slower than the horizon allowed for)
 // continues drawing live from the replica's saved generator state, so
 // results never depend on the horizon; it is purely a memory/speed knob.
+//
+// Replicas are materialized in repetition order, on demand: an arena has a
+// capacity (Cap) fixed at construction and holds the streams of replicas
+// [0, Reps()). The replica driver grows it before each batch it runs, so an
+// adaptive campaign that stops early never pays for the replicas it skips.
+// Every replica's stream is generated from its own substream alone, so the
+// arena's contents do not depend on how it was grown. Growth writes the
+// arena: a partly grown arena must not be replayed by concurrent campaigns
+// (a fully grown one, as BuildTraceArena returns, is read-only).
 type TraceArena struct {
-	seed    uint64
-	mean    float64 // distribution mean == the MTBF (all laws are normalized)
-	horizon float64
+	distrib  dist.Distribution
+	seed     uint64
+	mean     float64 // distribution mean == the MTBF (all laws are normalized)
+	horizon  float64
+	perRep   int // expected arrivals per replica: sizes storage and exponential fills
+	capacity int
 
 	arrivals []float64
-	offsets  []int       // len reps+1; replica rep owns arrivals[offsets[rep]:offsets[rep+1]]
+	offsets  []int       // len Reps()+1; replica rep owns arrivals[offsets[rep]:offsets[rep+1]]
 	states   [][4]uint64 // per-replica rng state after its generated prefix
 }
 
-// Reps returns the number of replica streams the arena holds.
+// Reps returns the number of replica streams the arena has materialized.
 func (tr *TraceArena) Reps() int { return len(tr.offsets) - 1 }
+
+// Cap returns the number of replica streams the arena can hold: the
+// repetition count of the process it was built for.
+func (tr *TraceArena) Cap() int { return tr.capacity }
 
 // Len returns the total number of materialized arrivals.
 func (tr *TraceArena) Len() int { return len(tr.arrivals) }
@@ -49,30 +66,15 @@ func (tr *TraceArena) Bytes() int64 {
 func (tr *TraceArena) Horizon() float64 { return tr.horizon }
 
 // Equal reports whether two arenas materialize the same process identically:
-// same seed, mean, horizon, per-replica offsets, every arrival bit-equal and
-// every saved generator state equal. Process-key equality must imply arena
-// equality (pinned by the property tests of internal/scenario).
+// same seed, mean, horizon, capacity, per-replica offsets, every arrival
+// bit-equal and every saved generator state equal. Process-key equality must
+// imply arena equality (pinned by the property tests of internal/scenario).
 func (tr *TraceArena) Equal(other *TraceArena) bool {
-	if tr.seed != other.seed || tr.mean != other.mean || tr.horizon != other.horizon ||
-		len(tr.arrivals) != len(other.arrivals) || len(tr.offsets) != len(other.offsets) {
-		return false
-	}
-	for i := range tr.offsets {
-		if tr.offsets[i] != other.offsets[i] {
-			return false
-		}
-	}
-	for i := range tr.arrivals {
-		if tr.arrivals[i] != other.arrivals[i] {
-			return false
-		}
-	}
-	for i := range tr.states {
-		if tr.states[i] != other.states[i] {
-			return false
-		}
-	}
-	return true
+	return tr.seed == other.seed && tr.mean == other.mean && tr.horizon == other.horizon &&
+		tr.capacity == other.capacity &&
+		slices.Equal(tr.offsets, other.offsets) &&
+		slices.Equal(tr.arrivals, other.arrivals) &&
+		slices.Equal(tr.states, other.states)
 }
 
 // EstimateArenaArrivals predicts how many arrivals BuildTraceArena will
@@ -90,6 +92,32 @@ func EstimateArenaArrivals(mean, horizon float64, reps int) int64 {
 	return int64(perRep) * int64(reps)
 }
 
+// NewTraceArena returns an empty arena for the failure process of law d on
+// seed, with room for capacity replica streams each generated through the
+// first arrival beyond horizon. Grow materializes the streams.
+func NewTraceArena(d dist.Distribution, seed uint64, capacity int, horizon float64) *TraceArena {
+	if capacity <= 0 {
+		panic("sim: a trace arena needs reps > 0")
+	}
+	if horizon < 0 || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
+		panic(fmt.Sprintf("sim: trace arena horizon %v must be finite and non-negative", horizon))
+	}
+	mean := d.Mean()
+	if !(mean > 0) {
+		panic(fmt.Sprintf("sim: a trace arena needs a distribution with positive mean, got %v", mean))
+	}
+	return &TraceArena{
+		distrib:  d,
+		seed:     seed,
+		mean:     mean,
+		horizon:  horizon,
+		perRep:   int(horizon/mean) + 2,
+		capacity: capacity,
+		offsets:  make([]int, 1, capacity+1),
+		states:   make([][4]uint64, 0, capacity),
+	}
+}
+
 // BuildTraceArena materializes the failure process: for each rep in
 // [0, reps), the prefix sums of inter-arrival draws from d on the substream
 // rng.At1(seed, rep), generated until the first arrival beyond horizon. The
@@ -98,62 +126,61 @@ func EstimateArenaArrivals(mean, horizon float64, reps int) int64 {
 // the other laws through Distribution.Sample), so replaying the arena is
 // bit-identical to generating on the fly.
 func BuildTraceArena(d dist.Distribution, seed uint64, reps int, horizon float64) *TraceArena {
-	if reps <= 0 {
-		panic("sim: BuildTraceArena needs reps > 0")
+	tr := NewTraceArena(d, seed, reps, horizon)
+	tr.Grow(reps)
+	return tr
+}
+
+// Grow materializes replica streams until the arena holds n of them; it
+// does nothing when the arena already holds n or more. n must not exceed
+// Cap.
+func (tr *TraceArena) Grow(n int) {
+	if n > tr.capacity {
+		panic(fmt.Sprintf("sim: trace arena of capacity %d cannot grow to %d replicas", tr.capacity, n))
 	}
-	if horizon < 0 || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
-		panic(fmt.Sprintf("sim: BuildTraceArena horizon %v must be finite and non-negative", horizon))
+	first := tr.Reps()
+	if n <= first {
+		return
 	}
-	tr := &TraceArena{
-		seed:    seed,
-		mean:    d.Mean(),
-		horizon: horizon,
-		offsets: make([]int, reps+1),
-		states:  make([][4]uint64, reps),
-	}
-	if !(tr.mean > 0) {
-		panic(fmt.Sprintf("sim: BuildTraceArena needs a distribution with positive mean, got %v", tr.mean))
-	}
-	perRep := int(horizon/tr.mean) + 2
-	tr.arrivals = make([]float64, 0, perRep*reps)
+	tr.arrivals = slices.Grow(tr.arrivals, tr.perRep*(n-first))
 
 	negMean := 0.0
-	e, isExp := d.(dist.Exponential)
+	e, isExp := tr.distrib.(dist.Exponential)
 	if isExp {
 		negMean = -e.Mean()
 	}
 	var src rng.Source
 	var buf [64]float64
-	for rep := 0; rep < reps; rep++ {
-		src.Reseed(rng.At1(seed, uint64(rep)))
+	for rep := first; rep < n; rep++ {
+		src.Reseed(rng.At1(tr.seed, uint64(rep)))
+		start := len(tr.arrivals)
 		base := 0.0
 		if isExp {
 			// Batched fills keep the xoshiro state in registers and pipeline
 			// the logarithms; the fill size tracks the expected remaining
 			// arrivals so the overshoot past the horizon stays small.
 			for {
-				n := perRep - (len(tr.arrivals) - tr.offsets[rep]) + 2
-				if n < 8 {
-					n = 8
+				k := tr.perRep - (len(tr.arrivals) - start) + 2
+				if k < 8 {
+					k = 8
 				}
-				if n > len(buf) {
-					n = len(buf)
+				if k > len(buf) {
+					k = len(buf)
 				}
-				src.ExpFillFrom(buf[:n], negMean, base)
-				tr.arrivals = append(tr.arrivals, buf[:n]...)
-				base = buf[n-1]
-				if base > horizon {
+				src.ExpFillFrom(buf[:k], negMean, base)
+				tr.arrivals = append(tr.arrivals, buf[:k]...)
+				base = buf[k-1]
+				if base > tr.horizon {
 					break
 				}
 			}
 		} else {
-			for base <= horizon {
-				base += d.Sample(&src)
+			for base <= tr.horizon {
+				base += tr.distrib.Sample(&src)
 				tr.arrivals = append(tr.arrivals, base)
 			}
 		}
-		tr.offsets[rep+1] = len(tr.arrivals)
-		tr.states[rep] = src.State()
+		tr.offsets = append(tr.offsets, len(tr.arrivals))
+		tr.states = append(tr.states, src.State())
 	}
-	return tr
 }

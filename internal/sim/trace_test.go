@@ -104,6 +104,38 @@ func TestBuildTraceArenaDeterministicAndCoversHorizon(t *testing.T) {
 	}
 }
 
+// Growing an arena in steps materializes exactly what one eager build
+// does: each replica's stream depends only on its own substream, so the
+// growth order never shows. Simulate grows an empty arena to the replicas
+// it runs, and its result matches drawing live.
+func TestTraceArenaGrowthOrderInvariant(t *testing.T) {
+	for _, cfg := range []Config{equivConfigs()[0], equivConfigs()[3]} { // exponential, Weibull
+		cfg.Reps = 40
+		cfg = cfg.withDefaults()
+		horizon := 1.5 * cfg.Params.T0
+		eager := buildArenaFor(cfg, horizon)
+		lazy := NewTraceArena(cfg.Distribution(cfg.Params.Mu), cfg.Seed, cfg.Reps, horizon)
+		for _, n := range []int{0, 5, 3, 17, 40, 40} {
+			lazy.Grow(n)
+			if want := max(n, lazy.Reps()); lazy.Reps() != want {
+				t.Fatalf("after Grow(%d) the arena holds %d replicas, want %d", n, lazy.Reps(), want)
+			}
+		}
+		if !lazy.Equal(eager) {
+			t.Errorf("%T: arena grown in steps differs from an eager build", cfg.Distribution(cfg.Params.Mu))
+		}
+
+		fresh := NewTraceArena(cfg.Distribution(cfg.Params.Mu), cfg.Seed, cfg.Reps, horizon)
+		live, replayed := Simulate(cfg, Options{}), Simulate(cfg, Options{Arena: fresh})
+		if live.Aggregate != replayed.Aggregate {
+			t.Errorf("replaying a lazily grown arena differs from drawing live:\n%+v\n%+v", live, replayed)
+		}
+		if !fresh.Equal(eager) {
+			t.Error("Simulate left the arena different from an eager build")
+		}
+	}
+}
+
 // Trace replay keeps the zero-allocations-per-replica property of the
 // generating walker, including when replicas outrun the prefix and fall
 // back to live drawing.
@@ -151,6 +183,7 @@ func TestSimulateFromTraceRejectsMismatchedArena(t *testing.T) {
 	wrongMean.Params.Mu *= 2
 	mustPanic("wrong mean", func() { Simulate(wrongMean, Options{Arena: tr}) })
 	mustPanic("zero reps build", func() { BuildTraceArena(cfg.Distribution(cfg.Params.Mu), 1, 0, 10) })
+	mustPanic("growth past capacity", func() { tr.Grow(tr.Cap() + 1) })
 	mustPanic("infinite horizon build", func() {
 		BuildTraceArena(cfg.Distribution(cfg.Params.Mu), 1, 1, math.Inf(1))
 	})
