@@ -6,6 +6,10 @@
 // into the output directory as they complete, together with a
 // manifest.json. Rerunning an unchanged campaign re-executes zero cells.
 //
+// With -cell it evaluates single points instead: each cell spec (the JSON
+// that POST /v1/cells takes) in the file or stdin runs through the same
+// cache, and one /v1/cells response body is printed per cell.
+//
 // Examples:
 //
 //	ftcampaign -spec examples/campaigns/quickstart.json -out out
@@ -13,6 +17,8 @@
 //	ftcampaign -platforms
 //	ftcampaign -spec my-campaign.json -validate
 //	ftcampaign -spec my-campaign.json -dry-run
+//	ftcampaign -cell examples/cells/model.json -no-cache
+//	echo '{"op": "periods", "probe": {"c": 60, "mu": 3600, "d": 60, "r": 60}}' | ftcampaign -cell -
 package main
 
 import (
@@ -30,7 +36,7 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
 // manifest is the machine-readable run summary written next to the
@@ -65,10 +71,11 @@ func listPlatforms(w io.Writer) {
 
 // run is the testable entry point: flag parsing and dispatch over the
 // given streams, returning the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ftcampaign", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	spec := fs.String("spec", "", "campaign JSON file (required unless -platforms)")
+	spec := fs.String("spec", "", "campaign JSON file (required unless -cell or -platforms)")
+	cellPath := fs.String("cell", "", "evaluate the cell specs (POST /v1/cells bodies, concatenated) in this file or - for stdin, printing one /v1/cells response per cell")
 	out := fs.String("out", "out", "output directory")
 	cache := fs.String("cache", "", "cell cache directory (default <out>/.ftcache; -no-cache disables)")
 	noCache := fs.Bool("no-cache", false, "disable the cell cache")
@@ -95,51 +102,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listPlatforms(stdout)
 		return 0
 	}
-	if *spec == "" {
+	if *spec != "" && *cellPath != "" {
+		fmt.Fprintln(stderr, "ftcampaign: -spec and -cell are mutually exclusive")
+		return 2
+	}
+	if *spec == "" && *cellPath == "" {
 		fs.Usage()
 		return 2
 	}
-	campaign, err := scenario.LoadFile(*spec)
-	if err != nil {
-		return fail(err)
-	}
-	if *validate {
-		fmt.Fprintf(stdout, "campaign %q: %d scenarios OK\n", campaign.Name, len(campaign.Scenarios))
-		return 0
-	}
-	if *dryRun {
-		// LoadFile already validated; the plan re-expands to report the
-		// cell grid and artifact names per scenario.
-		plan, err := scenario.PlanCampaign(campaign)
-		if err != nil {
+	var campaign *scenario.Campaign
+	if *spec != "" {
+		var err error
+		if campaign, err = scenario.LoadFile(*spec); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "campaign %q: %d scenarios\n", plan.Campaign, len(plan.Scenarios))
-		for _, sp := range plan.Scenarios {
-			fmt.Fprintf(stdout, "  %-32s %-12s %5d cells -> %v\n", sp.Name, sp.Kind, sp.Cells, sp.Artifacts)
+		if *validate {
+			fmt.Fprintf(stdout, "campaign %q: %d scenarios OK\n", campaign.Name, len(campaign.Scenarios))
+			return 0
 		}
-		fmt.Fprintf(stdout, "total: %d cells (%d unique)\n", plan.Cells, plan.Unique)
-		if plan.Cohorts > 0 {
-			fmt.Fprintf(stdout, "trace cohorts: %d shared failure processes covering %d sim cells\n",
-				plan.Cohorts, plan.CohortCells)
+		if *dryRun {
+			// LoadFile already validated; the plan re-expands to report the
+			// cell grid and artifact names per scenario.
+			plan, err := scenario.PlanCampaign(campaign)
+			if err != nil {
+				return fail(err)
+			}
+			fmt.Fprintf(stdout, "campaign %q: %d scenarios\n", plan.Campaign, len(plan.Scenarios))
+			for _, sp := range plan.Scenarios {
+				fmt.Fprintf(stdout, "  %-32s %-12s %5d cells -> %v\n", sp.Name, sp.Kind, sp.Cells, sp.Artifacts)
+			}
+			fmt.Fprintf(stdout, "total: %d cells (%d unique)\n", plan.Cells, plan.Unique)
+			if plan.Cohorts > 0 {
+				fmt.Fprintf(stdout, "trace cohorts: %d shared failure processes covering %d sim cells\n",
+					plan.Cohorts, plan.CohortCells)
+			}
+			return 0
 		}
-		return 0
 	}
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		return fail(err)
-	}
-	cacheDir := *cache
-	if cacheDir == "" {
-		cacheDir = filepath.Join(*out, ".ftcache")
-	}
-	if *noCache {
-		cacheDir = ""
-	}
-	// A remote store replaces the on-disk tier: results read from and
-	// write to a store served by an ftserve (its /v1/store mount), shared
-	// with every other node pointed at the same URL. Writes go through a
-	// batcher so a campaign's per-cell puts coalesce into few round-trips.
+	// One cell cache serves both a campaign run and -cell. A remote store
+	// replaces the on-disk tier: results read from and write to a store
+	// served by an ftserve (its /v1/store mount), shared with every other
+	// node pointed at the same URL. Writes go through a batcher so a
+	// campaign's per-cell puts coalesce into few round-trips.
 	var cellCache *scenario.CellCache
 	if *storeURL != "" {
 		if *noCache || *cache != "" {
@@ -147,8 +152,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		cellCache = scenario.NewCellCacheStore(store.WithChecksum(store.NewBatcher(store.NewRemote(*storeURL, nil), 0, 0)), 0)
-		defer cellCache.Close() //nolint:errcheck // flush-on-exit; puts already reported their errors
-		cacheDir = ""
+	} else {
+		cacheDir := *cache
+		if cacheDir == "" {
+			cacheDir = filepath.Join(*out, ".ftcache")
+		}
+		if *noCache {
+			cacheDir = ""
+		}
+		cellCache = scenario.NewCellCache(cacheDir, 0)
+	}
+	defer cellCache.Close() //nolint:errcheck // flush-on-exit; puts already reported their errors
+
+	if *cellPath != "" {
+		if err := evalCells(*cellPath, stdin, cellCache, stdout); err != nil {
+			return fail(err)
+		}
+		return 0
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return fail(err)
 	}
 
 	start := time.Now()
@@ -157,7 +180,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	filesByName := map[string][]string{}
 	runner := scenario.Runner{
 		Cache:       cellCache,
-		CacheDir:    cacheDir,
 		Workers:     *workers,
 		ArenaBudget: int64(*arenaMB) << 20,
 		OnEvent: func(ev scenario.CellEvent) {
@@ -212,4 +234,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report.Campaign, report.Cells, report.Unique, report.CacheHits, report.Executed,
 		time.Since(start).Round(time.Millisecond))
 	return 0
+}
+
+// evalCells decodes the concatenated cell specs of path (- for stdin) and
+// checks each as POST /v1/cells does, then evaluates them in order through
+// the cache, printing one /v1/cells response body per cell. A bad spec
+// fails the whole input before any cell runs.
+func evalCells(path string, stdin io.Reader, cache *scenario.CellCache, stdout io.Writer) error {
+	r := stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		r = f
+	}
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var specs []scenario.CellSpec
+	for {
+		var spec scenario.CellSpec
+		if err := dec.Decode(&spec); err == io.EOF {
+			break
+		} else if err != nil {
+			return fmt.Errorf("parse cell %d: %w", len(specs)+1, err)
+		}
+		if err := spec.Validate(); err != nil {
+			return fmt.Errorf("cell %d: %w", len(specs)+1, err)
+		}
+		specs = append(specs, spec)
+	}
+	if len(specs) == 0 {
+		return fmt.Errorf("%s holds no cell spec", path)
+	}
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	for _, spec := range specs {
+		res, tier, err := cache.GetOrExecute(spec)
+		if err != nil {
+			return err
+		}
+		if err := enc.Encode(scenario.CellResponse{Cell: spec.Hash(), Cache: tier, Result: res}); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -4,7 +4,9 @@
 //
 // Open loop means requests are fired on a fixed schedule (-rate) no
 // matter how fast the server answers, so queueing delay shows up in the
-// measured latencies instead of silently throttling the generator.
+// measured latencies instead of silently throttling the generator. Each
+// latency runs from the request's due time, not its send, so a generator
+// that falls behind its schedule still counts the delay.
 //
 // Traffic classes (weighted by -mix):
 //
@@ -351,9 +353,10 @@ func (g *generator) setupArtifact() error {
 	}
 }
 
-// fire runs the open loop: one request is dispatched every 1/rate seconds
-// for the given duration, each on its own goroutine, classes drawn from
-// the weighted mix.
+// fire runs the open loop for the given duration, classes drawn from the
+// weighted mix: request i is due at start + i/rate and is sent on its own
+// goroutine once due. A generator that falls behind sends its overdue
+// requests at once, so every due request goes out: ⌈duration·rate⌉ in all.
 func (g *generator) fire(weights map[string]int, rate float64, duration time.Duration) *Report {
 	classes := make([]string, 0, len(weights))
 	for _, c := range []string{"hot", "cold", "campaign", "artifact", "stats"} {
@@ -367,41 +370,39 @@ func (g *generator) fire(weights map[string]int, rate float64, duration time.Dur
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
-	samples := make(chan sample, 16384)
-	var wg sync.WaitGroup
-	var sent int64
-
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		all  []sample
+		sent int64
+	)
 	start := time.Now()
-	ticker := time.NewTicker(interval)
-	for time.Since(start) < duration {
-		<-ticker.C
+	for due := start; due.Sub(start) < duration; due = due.Add(interval) {
+		time.Sleep(time.Until(due))
 		class := classes[rng.Intn(len(classes))]
 		sent++
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			samples <- g.one(class)
+			s := g.one(class, due)
+			mu.Lock()
+			all = append(all, s)
+			mu.Unlock()
 		}()
 	}
-	ticker.Stop()
-	elapsed := time.Since(start)
+	// The offered window is the whole duration, or longer when the
+	// generator fell behind its schedule.
+	elapsed := max(time.Since(start), duration)
 
 	// Drain: in-flight requests are bounded by the client timeout.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	<-done
-	close(samples)
-
-	all := make([]sample, 0, sent)
-	for s := range samples {
-		all = append(all, s)
-	}
+	wg.Wait()
 	return aggregate(all, sent, elapsed, rate)
 }
 
-// one performs a single request of the given class.
-func (g *generator) one(class string) sample {
-	start := time.Now()
+// one performs a single request of the given class. Its latency runs from
+// the request's due time, so a send the generator delayed counts the delay
+// too, as queueing in front of the server would.
+func (g *generator) one(class string, due time.Time) sample {
 	var resp *http.Response
 	var err error
 	switch class {
@@ -424,7 +425,7 @@ func (g *generator) one(class string) sample {
 	case "stats":
 		resp, err = g.client.Get(g.base + "/v1/stats")
 	}
-	s := sample{class: class, durationMS: float64(time.Since(start).Microseconds()) / 1000}
+	s := sample{class: class, durationMS: float64(time.Since(due).Microseconds()) / 1000}
 	if err != nil {
 		s.failed = true
 		return s

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"abftckpt/internal/scenario"
 	"abftckpt/internal/server"
@@ -127,6 +130,58 @@ func TestSLOGate(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "SLO violated") {
 		t.Errorf("stderr %q does not report the violation", stderr.String())
+	}
+}
+
+// TestScheduleSendsEveryDueRequest: a server slower than the request
+// interval does not thin the offered load; every request due within the
+// duration is sent and completes, and its latency includes the server's.
+func TestScheduleSendsEveryDueRequest(t *testing.T) {
+	const delay = 150 * time.Millisecond
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(delay)
+		w.Write([]byte(`{}`)) //nolint:errcheck
+	}))
+	defer stub.Close()
+	const duration, rate = 310 * time.Millisecond, 50.0
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-target", stub.URL,
+		"-duration", duration.String(),
+		"-rate", fmt.Sprint(rate),
+		"-mix", "stats=1",
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %s", code, stderr.String())
+	}
+	var rep Report
+	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(math.Ceil(duration.Seconds() * rate))
+	if rep.Sent != want || rep.Completed != want {
+		t.Errorf("sent %d, completed %d; want %d each", rep.Sent, rep.Completed, want)
+	}
+	if rep.P50MS < float64(delay.Milliseconds()) {
+		t.Errorf("p50 %.1f ms is below the server's %v delay", rep.P50MS, delay)
+	}
+}
+
+// TestLatencyRunsFromDueTime: a request sent after its due time reports
+// the wait before the send as latency.
+func TestLatencyRunsFromDueTime(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{}`)) //nolint:errcheck
+	}))
+	defer stub.Close()
+	g := &generator{client: stub.Client(), base: stub.URL}
+	const late = 50 * time.Millisecond
+	s := g.one("stats", time.Now().Add(-late))
+	if s.failed || s.status != http.StatusOK {
+		t.Fatalf("sample %+v, want a 200", s)
+	}
+	if s.durationMS < float64(late.Milliseconds()) {
+		t.Errorf("latency %.3f ms for a request due %v ago", s.durationMS, late)
 	}
 }
 

@@ -138,29 +138,51 @@ func TestRecoverChecksumLoss(t *testing.T) {
 	}
 }
 
-// GEMM maintains the encoding: C = A*B_enc verifies without re-encoding,
-// and a block lost from C is recoverable.
+// GEMM maintains the encoding: C = A*B_enc, and a chain of such products,
+// verifies without re-encoding, and a block lost from C is recoverable.
 func TestGemmMaintainsChecksums(t *testing.T) {
-	src := rng.New(7)
-	a := matrix.RandDense(11, 9, src)
-	b := matrix.RandDense(9, 12, src)
-	be := EncodeColumns(b, 3, 2)
-	ce := Gemm(a, be)
-	if err := ce.Verify(1e-8); err != nil {
-		t.Fatalf("product checksums invalid: %v", err)
-	}
-	want := matrix.NewDense(11, 12)
-	matrix.Mul(want, a, b)
-	if !ce.DataView().EqualApprox(want, 1e-10) {
-		t.Fatal("Gemm data wrong")
-	}
-	ref := ce.DataView().Clone()
-	ce.EraseBlockColumn(1)
-	if err := ce.RecoverBlockColumn(1); err != nil {
-		t.Fatal(err)
-	}
-	if !ce.DataView().EqualApprox(ref, 1e-8) {
-		t.Fatal("post-GEMM recovery incorrect")
+	for _, c := range []struct {
+		name             string
+		seed             uint64
+		m, k, n          int // the operator is m×k, the encoded operand k×n
+		nb, group, steps int
+		lostBlock        int
+	}{
+		{"one product", 7, 11, 9, 12, 3, 2, 1, 1},
+		// A chain of square products, then the loss of block column 3.
+		{"4-step chain", 1, 32, 32, 128, 16, 4, 4, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := rng.New(c.seed)
+			a := matrix.RandDense(c.m, c.k, src)
+			a.Scale(1 / float64(c.k)) // keeps a chain's magnitudes bounded
+			b := matrix.RandDense(c.k, c.n, src)
+			ce := EncodeColumns(b, c.nb, c.group)
+			want := b
+			for step := 0; step < c.steps; step++ {
+				ce = Gemm(a, ce)
+				next := matrix.NewDense(c.m, c.n)
+				matrix.Mul(next, a, want)
+				want = next
+			}
+			if err := ce.Verify(1e-8); err != nil {
+				t.Fatalf("product checksums invalid: %v", err)
+			}
+			if !ce.DataView().EqualApprox(want, 1e-10) {
+				t.Fatal("Gemm data wrong")
+			}
+			ref := ce.DataView().Clone()
+			ce.EraseBlockColumn(c.lostBlock)
+			if err := ce.RecoverBlockColumn(c.lostBlock); err != nil {
+				t.Fatal(err)
+			}
+			if !ce.DataView().EqualApprox(ref, 1e-8) {
+				t.Fatal("post-GEMM recovery incorrect")
+			}
+			if err := ce.Verify(1e-8); err != nil {
+				t.Fatalf("checksums invalid after recovery: %v", err)
+			}
+		})
 	}
 }
 

@@ -375,36 +375,3 @@ func (c Cascade) CDF(x float64) float64 {
 func (c Cascade) String() string {
 	return fmt.Sprintf("Cascade(prob=%g, mtbf=%g)", c.prob, c.mean)
 }
-
-// Family resolves a distribution family by name into an MTBF-parameterized
-// constructor, for command-line selection. shape is the Weibull/gamma shape
-// k, the log-normal sigma, or the cascade burst probability; it is ignored
-// for the exponential family. Recognized names: "exp"/"exponential",
-// "weibull", "lognormal", "gamma", "cascade".
-func Family(name string, shape float64) (func(mtbf float64) Distribution, error) {
-	switch name {
-	case "exp", "exponential":
-		return func(mtbf float64) Distribution { return NewExponential(mtbf) }, nil
-	case "weibull":
-		if !(shape > 0) {
-			return nil, fmt.Errorf("dist: weibull needs shape > 0, got %g", shape)
-		}
-		return func(mtbf float64) Distribution { return WeibullWithMTBF(shape, mtbf) }, nil
-	case "lognormal":
-		if !(shape > 0) {
-			return nil, fmt.Errorf("dist: lognormal needs sigma > 0, got %g", shape)
-		}
-		return func(mtbf float64) Distribution { return LogNormalWithMTBF(shape, mtbf) }, nil
-	case "gamma":
-		if !(shape > 0) {
-			return nil, fmt.Errorf("dist: gamma needs shape > 0, got %g", shape)
-		}
-		return func(mtbf float64) Distribution { return GammaWithMTBF(shape, mtbf) }, nil
-	case "cascade":
-		if !(shape > 0 && shape < 1) {
-			return nil, fmt.Errorf("dist: cascade needs burst probability in (0,1), got %g", shape)
-		}
-		return func(mtbf float64) Distribution { return CascadeWithMTBF(shape, mtbf) }, nil
-	}
-	return nil, fmt.Errorf("dist: unknown family %q (exp|weibull|lognormal|gamma|cascade)", name)
-}

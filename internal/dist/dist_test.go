@@ -304,44 +304,6 @@ func TestStringNames(t *testing.T) {
 	}
 }
 
-func TestFamilySelection(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		shape float64
-		want  string
-	}{
-		{"exp", 0, "Exponential"},
-		{"exponential", 0, "Exponential"},
-		{"weibull", 0.7, "Weibull"},
-		{"lognormal", 1.2, "LogNormal"},
-		{"gamma", 2, "Gamma"},
-		{"cascade", 0.15, "Cascade"},
-	} {
-		mk, err := Family(c.name, c.shape)
-		if err != nil {
-			t.Fatalf("Family(%q): %v", c.name, err)
-		}
-		d := mk(100)
-		if !strings.Contains(d.String(), c.want) {
-			t.Errorf("Family(%q) built %v, want %s", c.name, d, c.want)
-		}
-		if d.Mean() != 100 {
-			t.Errorf("Family(%q): Mean() = %v, want exactly 100", c.name, d.Mean())
-		}
-	}
-	for _, c := range []struct {
-		name  string
-		shape float64
-	}{
-		{"uniform", 1}, {"weibull", 0}, {"lognormal", -1}, {"gamma", 0},
-		{"cascade", 0}, {"cascade", 1}, {"cascade", -0.5},
-	} {
-		if _, err := Family(c.name, c.shape); err == nil {
-			t.Errorf("Family(%q, %g): expected error", c.name, c.shape)
-		}
-	}
-}
-
 // Sampling is deterministic per source seed: the same stream yields the same
 // variates, a prerequisite for the simulator's replica addressing.
 func TestSamplingDeterminism(t *testing.T) {

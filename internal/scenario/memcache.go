@@ -26,6 +26,18 @@ const (
 	TierCoalesced CellTier = "coalesced"
 )
 
+// CellResponse is the envelope of one evaluated cell: the POST /v1/cells
+// response body, and each value `ftcampaign -cell` prints.
+type CellResponse struct {
+	// Cell is the cell's content hash (its cache key).
+	Cell string `json:"cell"`
+	// Cache is the tier that served the request: "mem", "disk", "exec" or
+	// "coalesced".
+	Cache CellTier `json:"cache"`
+	// Result is the cell result (exactly one sub-object set, by op).
+	Result CellResult `json:"result"`
+}
+
 // CacheStats counts cache-tier outcomes since the cache was created. The
 // counters are cumulative and monotone; tests and the server's metrics use
 // deltas between snapshots.

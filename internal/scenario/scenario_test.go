@@ -207,6 +207,44 @@ func TestJSONFloatRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFamilySelection: every distribution name a cell accepts builds its
+// family with Mean() exactly equal to the MTBF (an absent spec is
+// exponential), and bad shapes and unknown names are rejected.
+func TestFamilySelection(t *testing.T) {
+	for _, c := range []struct {
+		spec *DistSpec
+		want string
+	}{
+		{nil, "Exponential"},
+		{&DistSpec{Name: DistExponential}, "Exponential"},
+		{&DistSpec{Name: DistWeibull, Shape: 0.7}, "Weibull"},
+		{&DistSpec{Name: DistLogNormal, Shape: 1.2}, "LogNormal"},
+		{&DistSpec{Name: DistGamma, Shape: 2}, "Gamma"},
+		{&DistSpec{Name: DistCascade, Shape: 0.15}, "Cascade"},
+	} {
+		mk, err := c.spec.constructor()
+		if err != nil {
+			t.Fatalf("%+v: %v", c.spec, err)
+		}
+		d := mk(100)
+		if !strings.Contains(d.String(), c.want) {
+			t.Errorf("%+v built %v, want %s", c.spec, d, c.want)
+		}
+		if d.Mean() != 100 {
+			t.Errorf("%+v: Mean() = %v, want exactly 100", c.spec, d.Mean())
+		}
+	}
+	for _, bad := range []DistSpec{
+		{Name: "uniform", Shape: 1}, {Name: "exponential"}, {Name: ""},
+		{Name: DistWeibull, Shape: 0}, {Name: DistLogNormal, Shape: -1}, {Name: DistGamma, Shape: 0},
+		{Name: DistCascade, Shape: 0}, {Name: DistCascade, Shape: 1}, {Name: DistCascade, Shape: -0.5},
+	} {
+		if _, err := bad.constructor(); err == nil {
+			t.Errorf("%+v: expected error", bad)
+		}
+	}
+}
+
 func TestCellHashStability(t *testing.T) {
 	p := model.Fig7Params(2*model.Hour, 0.8)
 	a := CellSpec{Op: OpModel, Protocol: ProtoAbft, Params: &p}

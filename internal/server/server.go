@@ -623,17 +623,6 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Write(csv) //nolint:errcheck
 }
 
-// cellResponse is the POST /v1/cells response body.
-type cellResponse struct {
-	// Cell is the cell's content hash (its cache key).
-	Cell string `json:"cell"`
-	// Cache is the tier that served the request: "mem", "disk", "exec" or
-	// "coalesced".
-	Cache scenario.CellTier `json:"cache"`
-	// Result is the cell result (exactly one sub-object set, by op).
-	Result scenario.CellResult `json:"result"`
-}
-
 // admitCell acquires one in-flight cell slot, waiting up to AdmissionWait
 // for it; on refusal (429 + load-aware Retry-After, or 499 on client
 // abandon) it writes the response and reports false. On true the caller
@@ -702,7 +691,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Cache", string(tier))
-	writeJSON(w, http.StatusOK, cellResponse{Cell: spec.Hash(), Cache: tier, Result: res})
+	writeJSON(w, http.StatusOK, scenario.CellResponse{Cell: spec.Hash(), Cache: tier, Result: res})
 }
 
 // platformInfo is one catalogue entry of the /v1/platforms response.

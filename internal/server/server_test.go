@@ -267,7 +267,7 @@ func TestUnknownJobAndArtifact(t *testing.T) {
 func TestCellWarmPath(t *testing.T) {
 	ts, srv := newTestServer(t)
 
-	var first cellResponse
+	var first scenario.CellResponse
 	code, hdr := postJSON(t, ts.URL+"/v1/cells", periodsCellBody, &first)
 	if code != http.StatusOK {
 		t.Fatalf("code %d", code)
@@ -283,7 +283,7 @@ func TestCellWarmPath(t *testing.T) {
 		t.Fatalf("cold stats: %+v", cold)
 	}
 
-	var second cellResponse
+	var second scenario.CellResponse
 	code, hdr = postJSON(t, ts.URL+"/v1/cells", periodsCellBody, &second)
 	if code != http.StatusOK {
 		t.Fatalf("code %d", code)
@@ -346,7 +346,7 @@ func TestCellConcurrentExecutesOnce(t *testing.T) {
 				errs[i] = fmt.Errorf("code %d: %s", resp.StatusCode, data)
 				return
 			}
-			var cr cellResponse
+			var cr scenario.CellResponse
 			if err := json.Unmarshal(data, &cr); err != nil {
 				errs[i] = err
 				return
@@ -601,7 +601,7 @@ func TestCellServedDespiteBrokenCacheDir(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var res cellResponse
+	var res scenario.CellResponse
 	code, hdr := postJSON(t, ts.URL+"/v1/cells", periodsCellBody, &res)
 	if code != http.StatusOK {
 		t.Fatalf("broken cache dir turned a successful execution into code %d", code)
